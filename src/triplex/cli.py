@@ -182,17 +182,23 @@ def cmd_report(config: PipelineConfig) -> int:
         raise ConfigurationError(
             f"eval report not found: {config.eval_report_path}; run eval first"
         )
-    eval_report = json.loads(config.eval_report_path.read_text(encoding="utf-8"))
-    table_results = {}
-    for variant, entry in eval_report["variants"].items():
-        table_results[variant] = {
-            mode: Metrics(
-                precision=entry[mode]["precision"],
-                recall=entry[mode]["recall"],
-                f1=entry[mode]["f1"],
-            )
-            for mode in ("exact", "semantic")
+    try:
+        eval_report = json.loads(config.eval_report_path.read_text(encoding="utf-8"))
+        table_results = {
+            variant: {
+                mode: Metrics(
+                    precision=entry[mode]["precision"],
+                    recall=entry[mode]["recall"],
+                    f1=entry[mode]["f1"],
+                )
+                for mode in ("exact", "semantic")
+            }
+            for variant, entry in eval_report["variants"].items()
         }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"corrupt eval report {config.eval_report_path}: {exc!r}"
+        ) from None
     distributions = {
         name: predicate_distribution(run.triples) for name, run in runs.items()
     }
@@ -296,3 +302,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -8,7 +8,7 @@ individual fields after loading.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import PreprocessConfig
@@ -18,6 +18,7 @@ from .defaults import (
     default_generic_terms,
     default_prompt_dir,
     default_stopwords,
+    read_term_file,
     sample_gold_path,
 )
 from .errors import ConfigurationError
@@ -70,15 +71,6 @@ class PipelineConfig:
         return self.output_dir / "eval_report.json"
 
 
-def _read_terms(path: Path) -> frozenset[str]:
-    terms = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            terms.append(line.lower())
-    return frozenset(terms)
-
-
 def _resolve(base: Path, value: str) -> Path:
     path = Path(value)
     return path if path.is_absolute() else (base / path)
@@ -124,12 +116,12 @@ def load_config(
 
     stopwords = default_stopwords()
     if corpus_section.get("stopwords_file"):
-        stopwords = _read_terms(
+        stopwords = read_term_file(
             _require_file(_resolve(base, corpus_section["stopwords_file"]), "stopwords file")
         )
     fillers = default_filler_terms()
     if corpus_section.get("filler_terms_file"):
-        fillers = _read_terms(
+        fillers = read_term_file(
             _require_file(
                 _resolve(base, corpus_section["filler_terms_file"]), "filler terms file"
             )
@@ -168,7 +160,7 @@ def load_config(
 
     generic_terms = default_generic_terms()
     if raw.get("generic_terms_file"):
-        generic_terms = _read_terms(
+        generic_terms = read_term_file(
             _require_file(_resolve(base, raw["generic_terms_file"]), "generic terms file")
         )
 
@@ -212,13 +204,4 @@ def load_config(
         eval=eval_settings,
         generic_terms=generic_terms,
         corpus_limit=limit,
-    )
-
-
-def with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
-    """Return a copy of ``config`` with every seed field set to ``seed``."""
-    return replace(
-        config,
-        endpoint=replace(config.endpoint, seed=seed),
-        eval=replace(config.eval, seed=seed),
     )

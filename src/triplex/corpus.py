@@ -354,25 +354,30 @@ def read_corpus_jsonl(path: str | Path) -> CorpusIndex:
     if not cache.is_file():
         raise ConfigurationError(f"corpus cache not found: {cache}")
     documents: list[AgreementDocument] = []
-    for line in cache.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(cache.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        documents.append(
-            AgreementDocument(
-                doc_id=record["doc_id"],
-                party_a=record.get("party_a"),
-                party_b=record.get("party_b"),
-                sectors=tuple(record.get("sectors", ())),
-                articles=tuple(
-                    ArticleUnit(
-                        article_id=a["article_id"],
-                        raw_text="",
-                        clean_text=a.get("clean_text", ""),
-                    )
-                    for a in record.get("articles", ())
-                ),
+        try:
+            record = json.loads(line)
+            documents.append(
+                AgreementDocument(
+                    doc_id=record["doc_id"],
+                    party_a=record.get("party_a"),
+                    party_b=record.get("party_b"),
+                    sectors=tuple(record.get("sectors", ())),
+                    articles=tuple(
+                        ArticleUnit(
+                            article_id=a["article_id"],
+                            raw_text="",
+                            clean_text=a.get("clean_text", ""),
+                        )
+                        for a in record.get("articles", ())
+                    ),
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"corrupt corpus cache {cache}, line {lineno}: {exc!r}"
+            ) from None
     documents.sort(key=lambda d: d.doc_id)
     return CorpusIndex(source_dir=str(cache), documents=tuple(documents))

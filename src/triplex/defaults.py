@@ -18,7 +18,8 @@ def data_path(*parts: str) -> Path:
     return Path(str(target))
 
 
-def _read_term_file(path: Path) -> frozenset[str]:
+def read_term_file(path: Path) -> frozenset[str]:
+    """Lowercased terms of a one-per-line file; blank and ``#`` lines skipped."""
     terms = []
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -29,17 +30,17 @@ def _read_term_file(path: Path) -> frozenset[str]:
 
 def default_stopwords() -> frozenset[str]:
     """Standard English stopword list, lowercased."""
-    return _read_term_file(data_path("stopwords.txt"))
+    return read_term_file(data_path("stopwords.txt"))
 
 
 def default_filler_terms() -> frozenset[str]:
     """Treaty boilerplate terms removed alongside stopwords."""
-    return _read_term_file(data_path("filler_terms.txt"))
+    return read_term_file(data_path("filler_terms.txt"))
 
 
 def default_generic_terms() -> frozenset[str]:
     """Generic subject/object terms that trigger the refinement pass."""
-    return _read_term_file(data_path("generic_terms.txt"))
+    return read_term_file(data_path("generic_terms.txt"))
 
 
 def default_prompt_dir() -> Path:

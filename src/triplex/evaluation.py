@@ -157,36 +157,32 @@ def _eligible_edges(
     config: MatchConfig,
     embedder: Embedder | None,
 ) -> list[tuple[int, int, float]]:
-    edges: list[tuple[int, int, float]] = []
-    if config.mode is MatchMode.SEMANTIC:
-        if embedder is None:
-            raise ConfigurationError("semantic matching requires an embedder")
-        texts = sorted(
-            {f for t in predicted for f in _fields(t)}
-            | {f for t in gold for f in _fields(t)}
-        )
-        vectors = dict(zip(texts, embedder.embed(texts))) if texts else {}
-
-        def field_cosine(a: str, b: str) -> float:
-            if a == b:
-                return 1.0
-            return float(vectors[a].cosine(vectors[b]))
-
-        for pi, p in enumerate(predicted):
-            for gi, g in enumerate(gold):
-                score = sum(
-                    field_cosine(a, b) for a, b in zip(_fields(p), _fields(g))
-                ) / 3.0
-                if score >= config.semantic_threshold:
-                    edges.append((pi, gi, score))
-        return edges
-    required = 3 if config.mode is MatchMode.EXACT else config.partial_min_fields
-    for pi, p in enumerate(predicted):
-        for gi, g in enumerate(gold):
-            agreements = sum(a == b for a, b in zip(_fields(p), _fields(g)))
-            if agreements >= required:
-                edges.append((pi, gi, 1.0))
-    return edges
+    if config.mode is MatchMode.SEMANTIC and embedder is None:
+        raise ConfigurationError("semantic matching requires an embedder")
+    if not predicted or not gold:
+        return []
+    # each field string coded by its place among the sorted unique strings
+    strings = sorted({f for t in (*predicted, *gold) for f in _fields(t)})
+    code = {s: i for i, s in enumerate(strings)}
+    pc = np.array([[code[f] for f in _fields(t)] for t in predicted])
+    gc = np.array([[code[f] for f in _fields(t)] for t in gold])
+    if config.mode is not MatchMode.SEMANTIC:
+        required = 3 if config.mode is MatchMode.EXACT else config.partial_min_fields
+        agreements = (pc[:, None, :] == gc[None, :, :]).sum(axis=2)
+        rows, cols = np.nonzero(agreements >= required)
+        return [(int(pi), int(gi), 1.0) for pi, gi in zip(rows, cols)]
+    vectors = np.array([v.values for v in embedder.embed(strings)])
+    scores = np.zeros((len(pc), len(gc)))
+    for k in range(3):
+        # one cosine per distinct pair of strings, so equal pairs score equal
+        pu, p_at = np.unique(pc[:, k], return_inverse=True)
+        gu, g_at = np.unique(gc[:, k], return_inverse=True)
+        cosine = np.clip(vectors[pu] @ vectors[gu].T, -1.0, 1.0)
+        cosine[pu[:, None] == gu] = 1.0
+        scores += cosine[np.ix_(p_at, g_at)]
+    scores /= 3.0
+    rows, cols = np.nonzero(scores >= config.semantic_threshold)
+    return [(int(pi), int(gi), float(scores[pi, gi])) for pi, gi in zip(rows, cols)]
 
 
 def _greedy_assignment(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
-from .errors import ExtractionError, TransportError
+from .errors import ConfigurationError, ExtractionError, TransportError
 from .llmclient import LlmClient
 from .prompting import ExampleBank, PromptTemplates, PromptVariant, build_prompt
 
@@ -471,30 +471,38 @@ def read_run(path: str | Path) -> ExtractionRun:
     target = Path(path)
     triples: list[Triple] = []
     variant: PromptVariant | None = None
-    for line in target.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(target.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        variant = PromptVariant.from_name(record["variant"])
-        triples.append(
-            Triple(
-                subject=record["subject"],
-                predicate=record["predicate"],
-                object=record["object"],
-                doc_id=record["doc_id"],
-                article_id=record["article_id"],
-                chunk_index=record["chunk_index"],
-                variant=variant,
-                generic_subject=record.get("generic_subject", False),
-                generic_object=record.get("generic_object", False),
+        try:
+            record = json.loads(line)
+            variant = PromptVariant.from_name(record["variant"])
+            triples.append(
+                Triple(
+                    subject=record["subject"],
+                    predicate=record["predicate"],
+                    object=record["object"],
+                    doc_id=record["doc_id"],
+                    article_id=record["article_id"],
+                    chunk_index=record["chunk_index"],
+                    variant=variant,
+                    generic_subject=record.get("generic_subject", False),
+                    generic_object=record.get("generic_object", False),
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"corrupt run file {target}, line {lineno}: {exc!r}"
+            ) from None
     stats = _empty_stats()
     endpoint_fingerprint = ""
     prompt_fingerprint = ""
     sidecar = target.with_suffix(".stats.json")
     if sidecar.is_file():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigurationError(f"corrupt run stats file {sidecar}: {exc}") from None
         stats.update(meta.get("stats", {}))
         endpoint_fingerprint = meta.get("endpoint_fingerprint", "")
         prompt_fingerprint = meta.get("prompt_fingerprint", "")

@@ -395,6 +395,7 @@ class LlmClient:
         self._gate = threading.Semaphore(config.max_parallel_requests)
         self._lock = threading.Lock()
         self.stats = {"requests": 0, "failures": 0, "total_latency_ms": 0.0}
+        self._embeddings: dict[str, EmbeddingVector] = {}
 
     def _timed(self, call, *args):
         started = time.perf_counter()
@@ -420,22 +421,28 @@ class LlmClient:
         return self._timed(self.transport.chat, text)
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Embed each text, returning unit-length vectors in input order."""
+        """Embed each text, returning unit-length vectors in input order.
+
+        Vectors are kept for the life of the client, so the transport sees
+        each distinct text once.
+        """
         if not texts:
             raise ValueError("embed requires a non-empty list of texts")
         for i, text in enumerate(texts):
             if not isinstance(text, str) or not text.strip():
                 raise ValueError(f"embed text at index {i} is empty")
-        vectors: list[EmbeddingVector] = []
+        # unlocked: a text two threads embed at once is fetched twice, harmlessly
         for text in texts:
+            if text in self._embeddings:
+                continue
             raw = np.asarray(self._timed(self.transport.embed_one, text), dtype=np.float64)
             norm = float(np.linalg.norm(raw))
             if not np.isfinite(norm) or norm <= 0.0:
                 raise TransportError(
                     f"embedding for {text[:40]!r} has invalid norm {norm}"
                 )
-            vectors.append(EmbeddingVector(values=raw / norm, dimension=raw.size))
-        return vectors
+            self._embeddings[text] = EmbeddingVector(values=raw / norm, dimension=raw.size)
+        return [self._embeddings[text] for text in texts]
 
 
 def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:

@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import triplex
 from triplex.cli import main
 from triplex.prompting import PromptVariant
 
 
 def out_dir_of(config_path: Path) -> Path:
     return Path(json.loads(config_path.read_text(encoding="utf-8"))["output_dir"])
+
+
+def truncate(path: Path) -> int:
+    """Cut the file short inside its last line; returns that line's number."""
+    text = path.read_text(encoding="utf-8").rstrip("\n")
+    path.write_text(text[:-20], encoding="utf-8")
+    return len(text.splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +90,90 @@ def test_sample_rejects_all_variants(config_file, capsys):
     assert main(["extract", "--config", str(config)]) == 0
     assert main(["sample", "--config", str(config), "--variant", "all"]) == 2
     assert "single --variant" in capsys.readouterr().err
+
+
+def test_truncated_corpus_cache_is_fatal_and_names_file_and_line(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    cache = out_dir_of(config) / "corpus.jsonl"
+    line = truncate(cache)
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config)]) == 2
+    assert f"corrupt corpus cache {cache}, line {line}:" in capsys.readouterr().err
+
+
+def test_truncated_run_file_is_fatal_and_names_file_and_line(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    line = truncate(run)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    assert f"corrupt run file {run}, line {line}:" in capsys.readouterr().err
+
+
+def test_run_record_with_unknown_variant_is_fatal_and_names_file_and_line(
+    config_file, capsys
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"zero-shot"', '"two-shot"')
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"corrupt run file {run}, line 2:" in stderr
+    assert "two-shot" in stderr
+
+
+def test_truncated_run_stats_file_is_fatal_and_names_file_and_line(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    sidecar = out_dir_of(config) / "runs" / "zero-shot.stats.json"
+    truncate(sidecar)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"corrupt run stats file {sidecar}:" in stderr
+    assert re.search(r"line \d+ column \d+", stderr)
+
+
+def test_truncated_eval_report_is_fatal_and_names_file_and_line(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
+    report = out_dir_of(config) / "eval_report.json"
+    truncate(report)
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"corrupt eval report {report}:" in stderr
+    assert re.search(r"line \d+ column \d+", stderr)
+
+
+@pytest.mark.parametrize("module", ["triplex", "triplex.cli"])
+def test_module_form_runs_the_cli(module, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(triplex.__file__).parent.parent))
+    help_run = subprocess.run(
+        [sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env
+    )
+    assert help_run.returncode == 0
+    assert "usage: triplex" in help_run.stdout
+    missing = tmp_path / "absent.json"
+    bad_run = subprocess.run(
+        [sys.executable, "-m", module, "ingest", "--config", str(missing)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert bad_run.returncode == 2
+    assert "config file not found" in bad_run.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from triplex.evaluation import (
     MatchConfig,
     MatchMode,
     MatchResult,
+    _eligible_edges,
     coverage_score,
     distribution_divergence,
     f1_score,
@@ -180,6 +181,40 @@ def test_exact_edges_are_a_subset_of_semantic_edges(mock_client):
         )
         semantic_keys = {(pi, gi) for pi, gi, _ in semantic}
         assert {(pi, gi) for pi, gi, _ in exact} <= semantic_keys
+
+
+def _edge_instances():
+    rng = random.Random(31)
+    instances = [random_instance(rng) for _ in range(200)]
+    # one large instance over the same small vocabulary: repeated strings,
+    # tied scores, and scores close to the threshold all occur
+    while True:
+        predicted, gold = random_instance(rng, max_gold=60, max_predicted=300)
+        if len(predicted) >= 250 and len(gold) >= 50:
+            return instances + [(predicted, gold)]
+
+
+@pytest.mark.parametrize(
+    "mode, threshold",
+    [
+        (MatchMode.EXACT, 0.75),
+        (MatchMode.PARTIAL, 0.75),
+        (MatchMode.SEMANTIC, 0.5),
+        (MatchMode.SEMANTIC, 0.75),
+        (MatchMode.SEMANTIC, 0.9),
+        (MatchMode.SEMANTIC, 1.0),
+    ],
+)
+def test_eligible_edges_equal_the_oracle(mode, threshold, mock_client):
+    config = MatchConfig(mode=mode, semantic_threshold=threshold)
+    for predicted, gold in _edge_instances():
+        edges = _eligible_edges(predicted, gold, config, mock_client)
+        expected = eligible_edges_oracle(
+            predicted, gold, mode, threshold=threshold, embedder=mock_client
+        )
+        assert [(pi, gi) for pi, gi, _ in edges] == [(pi, gi) for pi, gi, _ in expected]
+        for (_, _, score), (_, _, want) in zip(edges, expected):
+            assert abs(score - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,40 @@ def test_client_embed_returns_unit_vectors_in_order(mock_client):
         assert np.allclose(vector.values, oracle_embedding(text))
 
 
-def test_client_embed_rejects_empty_inputs(mock_client):
+class EmbedCountingTransport:
+    def __init__(self) -> None:
+        self.embedded: list[str] = []
+
+    def chat(self, prompt_text: str) -> str:
+        raise AssertionError("chat not expected")
+
+    def embed_one(self, text: str):
+        self.embedded.append(text)
+        return mock_embedding(text)
+
+
+def test_client_embed_rejects_empty_inputs():
+    transport = EmbedCountingTransport()
+    client = LlmClient(EndpointConfig(), transport)
     with pytest.raises(ValueError):
-        mock_client.embed([])
+        client.embed([])
     with pytest.raises(ValueError):
-        mock_client.embed(["fine", "  "])
+        client.embed(["fine", "  "])
+    with pytest.raises(ValueError):
+        client.embed(["fine", ""])
+    assert transport.embedded == []
+
+
+def test_client_embed_fetches_each_text_once():
+    transport = EmbedCountingTransport()
+    client = LlmClient(EndpointConfig(), transport)
+    a, b, a_again = client.embed(["a", "b", "a"])
+    b_again, c = client.embed(["b", "c"])
+    assert transport.embedded == ["a", "b", "c"]
+    assert client.stats["requests"] == 3
+    assert np.array_equal(a.values, a_again.values)
+    assert np.array_equal(b.values, b_again.values)
+    assert np.allclose(c.values, oracle_embedding("c"))
 
 
 # ---------------------------------------------------------------------------
