@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -339,11 +340,15 @@ def run_extraction(
 ) -> ExtractionRun:
     """Extract triples from every chunk of every document with one variant.
 
-    Chunks are processed in parallel up to the client's request bound; the
-    merge is ordered by (doc_id, article_id, chunk_index) so repeated runs
-    produce identical output. A chunk whose request ultimately fails is
-    recorded in the stats and skipped; the run only fails when every chunk
-    does.
+    The prompt's fixed part is rendered once; each chunk only fills in
+    ``{{chunk}}``. Chunks are handed out one at a time to as many worker
+    threads as the client allows requests in flight
+    (``max_parallel_requests`` for a live endpoint, one for the in-process
+    mock). The merge is ordered by (doc_id, article_id, chunk_index), so
+    repeated runs produce identical output whatever the worker count. A chunk
+    whose request ultimately fails is recorded in the stats and skipped; the
+    run only fails when every chunk does. Any other error stops the run: no
+    worker takes a new chunk after it, and it is raised to the caller.
     """
     templates = templates or PromptTemplates.default()
     lexicon = generic_lexicon if generic_lexicon is not None else default_generic_terms()
@@ -402,9 +407,26 @@ def run_extraction(
         }
         return (doc_id, article_id, chunk_index, (triples, chunk_stats), None)
 
-    max_workers = max(1, client.config.max_parallel_requests)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(process, tasks))
+    pending = iter(tasks)
+    take = threading.Lock()
+    stop = threading.Event()
+
+    def drain(_worker: int) -> list:
+        done = []
+        while True:
+            with take:
+                task = None if stop.is_set() else next(pending, None)
+            if task is None:
+                return done
+            try:
+                done.append(process(task))
+            except BaseException:
+                stop.set()
+                raise
+
+    workers = min(client.config.max_parallel_requests, len(tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = [result for done in pool.map(drain, range(workers)) for result in done]
 
     results.sort(key=lambda r: (r[0], r[1], r[2]))
     collected: list[Triple] = []

@@ -14,7 +14,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -398,16 +398,17 @@ class LlmClient:
         self._embeddings: dict[str, EmbeddingVector] = {}
 
     def _timed(self, call, *args):
-        started = time.perf_counter()
+        # latency is service time: the clock starts once the gate is passed
         try:
             with self._gate:
+                started = time.perf_counter()
                 result = call(*args)
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
         except Exception:
             with self._lock:
                 self.stats["requests"] += 1
                 self.stats["failures"] += 1
             raise
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
         with self._lock:
             self.stats["requests"] += 1
             self.stats["total_latency_ms"] += elapsed_ms
@@ -446,9 +447,17 @@ class LlmClient:
 
 
 def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:
-    """Build a client for ``backend``, either ``"mock"`` or ``"live"``."""
+    """Build a client for ``backend``, either ``"mock"`` or ``"live"``.
+
+    The mock transport is pure Python in this process, so a second request in
+    flight would only contend for the interpreter lock: a mock client allows
+    one at a time, whatever ``max_parallel_requests`` says. The live backend
+    keeps the configured bound.
+    """
     if backend == "mock":
-        return LlmClient(config, MockTransport(seed=config.seed or 0))
+        return LlmClient(
+            replace(config, max_parallel_requests=1), MockTransport(seed=config.seed or 0)
+        )
     if backend == "live":
         return LlmClient(config, HttpTransport(config))
     raise ConfigurationError(f"unknown backend {backend!r}; valid: live, mock")

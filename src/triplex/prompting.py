@@ -163,6 +163,13 @@ class PromptTemplates:
                     f"template for {variant.value} has no {{{{chunk}}}} placeholder"
                 )
         self._texts = dict(texts)
+        self._fingerprints = {
+            variant: hashlib.sha256(
+                "\n".join(self.constraint_clauses(variant)).encode("utf-8")
+            ).hexdigest()
+            for variant in self._texts
+        }
+        self._filled_texts: dict[tuple[PromptVariant, ExampleBank], str] = {}
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "PromptTemplates":
@@ -188,8 +195,25 @@ class PromptTemplates:
         return constraint_clauses(self._texts[variant])
 
     def fingerprint(self, variant: PromptVariant) -> str:
-        joined = "\n".join(self.constraint_clauses(variant))
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        return self._fingerprints[variant]
+
+    def filled(self, variant: PromptVariant, bank: ExampleBank) -> str:
+        """The template for ``variant`` with every slot but ``{{chunk}}`` filled from ``bank``.
+
+        Rendered once per (variant, bank) and kept. Only a bank that passes
+        :func:`validate_bank` is kept, so a deficient one raises
+        :class:`BankValidationError` on every call.
+        """
+        key = (variant, bank)
+        text = self._filled_texts.get(key)
+        # unlocked: threads that miss at once each render the same text
+        if text is None:
+            deficiencies = validate_bank(bank, variant)
+            if deficiencies:
+                raise BankValidationError(deficiencies)
+            text = _fill_bank_slots(self._texts[variant], bank)
+            self._filled_texts[key] = text
+        return text
 
 
 def constraint_clauses(template_text: str) -> tuple[str, ...]:
@@ -229,23 +253,7 @@ def _render_negative(example: NegativeExample) -> str:
     return f"({s} | {p} | {o})\nThis is wrong because {example.reason}."
 
 
-def build_prompt(
-    variant: PromptVariant,
-    bank: ExampleBank,
-    chunk_text: str,
-    templates: PromptTemplates | None = None,
-) -> RenderedPrompt:
-    """Render the prompt for one chunk.
-
-    Pure: the same inputs always produce the same prompt. Raises
-    :class:`BankValidationError` naming each missing ingredient when the bank
-    cannot support the requested variant.
-    """
-    deficiencies = validate_bank(bank, variant)
-    if deficiencies:
-        raise BankValidationError(deficiencies)
-    templates = templates or PromptTemplates.default()
-    text = templates.template(variant)
+def _fill_bank_slots(text: str, bank: ExampleBank) -> str:
     replacements = {
         "{{definition}}": bank.ner_definition,
         "{{focus_verbs}}": ", ".join(f'"{v}"' for v in bank.focus_verbs),
@@ -261,12 +269,28 @@ def build_prompt(
         "{{negated_instructions}}": "\n".join(
             f"- {instr}" for instr in bank.negated_instructions
         ),
-        "{{chunk}}": chunk_text,
     }
     for slot, value in replacements.items():
         text = text.replace(slot, value)
+    return text
+
+
+def build_prompt(
+    variant: PromptVariant,
+    bank: ExampleBank,
+    chunk_text: str,
+    templates: PromptTemplates | None = None,
+) -> RenderedPrompt:
+    """Render the prompt for one chunk.
+
+    Pure: the same inputs always produce the same prompt. Raises
+    :class:`BankValidationError` naming each missing ingredient when the bank
+    cannot support the requested variant. ``{{chunk}}`` is filled last, so
+    slot markers inside the chunk text stay literal.
+    """
+    templates = templates or PromptTemplates.default()
     return RenderedPrompt(
         variant=variant,
-        text=text,
+        text=templates.filled(variant, bank).replace("{{chunk}}", chunk_text),
         constraint_fingerprint=templates.fingerprint(variant),
     )

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplex.corpus import CorpusIndex, load_corpus
-from triplex.errors import ExtractionError, TransportError
+from triplex.corpus import (
+    AgreementDocument,
+    ArticleUnit,
+    CorpusIndex,
+    chunk_document,
+    load_corpus,
+)
+from triplex.errors import ConfigurationError, ExtractionError, TransportError
 from triplex.extraction import (
     DEFAULT_TRIPLE_CAP,
     REFINEMENT_PROMPT,
@@ -23,8 +33,8 @@ from triplex.extraction import (
     run_extraction,
     write_run,
 )
-from triplex.llmclient import EndpointConfig, LlmClient, mock_embedding
-from triplex.prompting import PromptVariant
+from triplex.llmclient import EndpointConfig, LlmClient, MockTransport, mock_embedding
+from triplex.prompting import PromptTemplates, PromptVariant
 
 
 def make_triple(s, p, o, doc="doc", generic_subject=False, generic_object=False):
@@ -429,6 +439,137 @@ def test_complex_predicate_counter(bank, small_chunks_config, corpus_dir):
     run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
     assert run.stats["complex_predicates"] == run.stats["chunks_processed"]
     assert run.stats["duplicates_removed"] > 0  # same reply per chunk dedupes
+
+
+def synthetic_corpus(texts) -> CorpusIndex:
+    """One single-article document per text, already cleaned."""
+    return CorpusIndex(
+        source_dir="synthetic",
+        documents=tuple(
+            AgreementDocument(
+                doc_id=f"doc-{i:03d}",
+                party_a=None,
+                party_b=None,
+                sectors=(),
+                articles=(ArticleUnit(article_id="article:001", raw_text=text, clean_text=text),),
+            )
+            for i, text in enumerate(texts)
+        ),
+    )
+
+
+@pytest.mark.parametrize("rejected", ["every", "first"])
+def test_fatal_error_stops_extraction_promptly(rejected, bank, small_chunks_config):
+    class RejectingTransport:
+        """Rejects every chat, or only the first one once a second is in flight."""
+
+        def __init__(self):
+            self.calls = 0
+            self._lock = threading.Lock()
+            self._second = threading.Event()
+
+        def chat(self, prompt_text: str) -> str:
+            with self._lock:
+                self.calls += 1
+                call = self.calls
+            if rejected == "every":
+                raise ConfigurationError("endpoint rejected request (400)")
+            if call == 1:
+                self._second.wait(timeout=5)
+                raise ConfigurationError("endpoint rejected request (400)")
+            self._second.set()
+            time.sleep(0.005)
+            return "(Japan | exports | cars)"
+
+        def embed_one(self, text: str):
+            return mock_embedding(text)
+
+    transport = RejectingTransport()
+    client = LlmClient(EndpointConfig(max_parallel_requests=2), transport)
+    corpus = synthetic_corpus(f"Japan exports {i} cars to Thailand." for i in range(120))
+    with pytest.raises(ConfigurationError):
+        run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    assert 1 <= transport.calls <= 4
+
+
+def reference_prompt(template: str, bank, chunk: str) -> str:
+    """Plain slot replacement, in slot order, with {{chunk}} replaced last."""
+
+    def positive(example):
+        triples = "\n".join(f"({s} | {p} | {o})" for s, p, o in example.triples)
+        return f"Text: {example.snippet}\nTriples:\n{triples}"
+
+    slots = (
+        ("{{definition}}", bank.ner_definition),
+        ("{{focus_verbs}}", ", ".join(f'"{v}"' for v in bank.focus_verbs)),
+        ("{{example}}", positive(bank.positive_examples[0])),
+        ("{{more_examples}}", "\n\n".join(positive(ex) for ex in bank.positive_examples[1:])),
+        (
+            "{{negative_examples}}",
+            "\n\n".join(
+                f"({ex.triple[0]} | {ex.triple[1]} | {ex.triple[2]})\n"
+                f"This is wrong because {ex.reason}."
+                for ex in bank.negative_examples
+            ),
+        ),
+        ("{{negated_instructions}}", "\n".join(f"- {i}" for i in bank.negated_instructions)),
+        ("{{chunk}}", chunk),
+    )
+    for slot, value in slots:
+        template = template.replace(slot, value)
+    return template
+
+
+def test_run_sends_byte_identical_prompts(bank, small_chunks_config, corpus_dir):
+    templates = PromptTemplates.default()
+    odd_bank = replace(bank, ner_definition=bank.ner_definition + " Never copy {{chunk}}.")
+    corpus = load_corpus(corpus_dir, limit=1)
+    odd_chunk = synthetic_corpus(["Quote {{definition}} and {{chunk}} as written."])
+    corpus = replace(corpus, documents=corpus.documents + odd_chunk.documents)
+    chunks = [
+        text for doc in corpus.documents for _, _, text in chunk_document(doc, small_chunks_config)
+    ]
+    assert "Quote {{definition}} and {{chunk}} as written." in chunks
+    for example_bank in (bank, odd_bank):
+        for variant in PromptVariant:
+            client = scripted_client("(Canada | exports | wheat)")
+            run_extraction(corpus, variant, example_bank, client, small_chunks_config, templates)
+            expected = [
+                reference_prompt(templates.template(variant), example_bank, text)
+                for text in chunks
+            ]
+            assert sorted(client.transport.prompts) == sorted(expected), variant
+
+
+def test_worker_count_never_changes_the_run(bank, small_chunks_config, corpus_dir):
+    corpus = load_corpus(corpus_dir)
+    mock = MockTransport(seed=7)
+    for variant in PromptVariant:
+        runs = []
+        for workers in (1, 4):
+            client = scripted_client(mock.chat, max_parallel=workers)
+            runs.append(run_extraction(corpus, variant, bank, client, small_chunks_config))
+        serial, threaded = runs
+        assert serial.triples == threaded.triples
+        assert serial.stats == threaded.stats
+        assert serial.stats["chunks_processed"] > 1
+
+
+def test_many_workers_take_each_chunk_exactly_once(bank, small_chunks_config):
+    texts = [f"Japan exports {i} cars to Thailand." for i in range(300)]
+    client = scripted_client("(Japan | exports | cars)", max_parallel=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = run_extraction(
+            synthetic_corpus(texts), PromptVariant.ZERO_SHOT, bank, client, small_chunks_config
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    sent = sorted(p.rsplit("\nText:\n", 1)[-1].strip() for p in client.transport.prompts)
+    assert sent == sorted(texts)
+    assert run.stats["chunks_processed"] == len(texts)
+    assert len(run.triples) == len(texts)
 
 
 # ---------------------------------------------------------------------------

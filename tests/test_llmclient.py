@@ -387,6 +387,38 @@ def test_client_bounds_concurrent_requests():
     assert client.stats["total_latency_ms"] > 0
 
 
+def test_mock_client_allows_one_request_in_flight():
+    config = EndpointConfig(max_parallel_requests=4)
+    client = make_client(config, "mock")
+    assert client.config.fingerprint() == config.fingerprint()
+    transport = CountingTransport()
+    client.transport = transport
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(lambda i: client.complete(f"prompt {i}"), range(8)))
+    assert transport.peak == 1
+    assert make_client(config, "live").config.max_parallel_requests == 4
+
+
+def test_client_latency_excludes_queue_wait():
+    client = LlmClient(EndpointConfig(max_parallel_requests=1), MockTransport(seed=1))
+    calling = threading.Event()
+
+    def call():
+        calling.set()
+        client.complete(PROMPT)
+
+    client._gate.acquire()
+    worker = threading.Thread(target=call)
+    worker.start()
+    assert calling.wait(timeout=5)
+    time.sleep(0.05)
+    client._gate.release()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert client.stats["requests"] == 1
+    assert client.stats["total_latency_ms"] < 25.0
+
+
 def test_client_counts_failures():
     class FailingTransport:
         def chat(self, prompt_text: str) -> str:

@@ -112,6 +112,15 @@ def test_build_prompt_raises_naming_each_deficiency(bank):
     ]
 
 
+def test_deficient_bank_raises_on_every_call(bank):
+    templates = PromptTemplates.default()
+    build_prompt(PromptVariant.NEGATIVE_EXAMPLES, bank, CHUNK, templates)
+    broken = replace(bank, negative_examples=())
+    for _ in range(2):
+        with pytest.raises(BankValidationError):
+            build_prompt(PromptVariant.NEGATIVE_EXAMPLES, broken, CHUNK, templates)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
