@@ -1,7 +1,8 @@
 """Command-line interface: ingest, extract, eval, report, sample, run-all.
 
-Exit codes: 0 on success, 1 when partial failures were recorded in run
-stats, 2 on fatal configuration or input errors.
+Exit codes: 0 on success, 1 when a command reports partial failures (a
+skipped corpus file, failed chunks, a variant with no usable chunk), 2 when
+any package error escapes a command: bad configuration or input.
 """
 
 from __future__ import annotations
@@ -292,12 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run-all":
             return cmd_run_all(config, args.backend)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
     except TriplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        return EXIT_FATAL
 
 
 def entrypoint() -> None:

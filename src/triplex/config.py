@@ -2,13 +2,17 @@
 
 Relative paths inside the file are resolved against the file's own directory
 so a config can be archived next to its corpus. Command-line flags override
-individual fields after loading.
+individual fields after loading. Each settings section is built through its
+dataclass, the one declaration of its keys' defaults, types and ranges.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import PreprocessConfig
@@ -22,24 +26,32 @@ from .defaults import (
     sample_gold_path,
 )
 from .errors import ConfigurationError
-from .evaluation import AssignmentPolicy
+from .evaluation import DEFAULT_REDUNDANCY_THRESHOLD, AssignmentPolicy, MatchConfig
 from .llmclient import EndpointConfig
 
 __all__ = ["EvalSettings", "PipelineConfig", "load_config"]
 
-DEFAULT_SEED = 42
+_TOP_KEYS = ("corpus", "output_dir", "endpoint", "prompts", "eval", "generic_terms_file")
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 @dataclass(frozen=True)
 class EvalSettings:
+    """The ``eval`` section: gold set, matching, sampling and report settings."""
+
     gold_path: Path
-    semantic_threshold: float = 0.75
-    assignment: AssignmentPolicy = AssignmentPolicy.GREEDY
+    semantic_threshold: float = MatchConfig.semantic_threshold
+    assignment: AssignmentPolicy = MatchConfig.assignment
     sample_size: int = 100
-    seed: int = DEFAULT_SEED
-    redundancy_threshold: float = 0.9
+    seed: int = 42
+    redundancy_threshold: float = DEFAULT_REDUNDANCY_THRESHOLD
     frequency_top_k: int = 20
     heatmap_top_k: int = 15
+
+    def __post_init__(self) -> None:
+        MatchConfig(semantic_threshold=self.semantic_threshold)  # holds its range check
+        if self.sample_size < 0:
+            raise ConfigurationError(f"sample_size must not be negative, got {self.sample_size}")
 
 
 @dataclass(frozen=True)
@@ -71,21 +83,64 @@ class PipelineConfig:
         return self.output_dir / "eval_report.json"
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else (base / path)
+def _typed(key: str, value: object, hint: object) -> object:
+    """JSON ``value`` of config key ``key`` if it fits the field type ``hint``.
+
+    An int field takes no bool; a float field also takes an int, as a float;
+    ``null`` fits only an optional field; an enum field takes a member's value.
+    """
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kind = kinds[0]
+    if (value is None and type(None) in kinds) or type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    if isinstance(kind, enum.EnumMeta):
+        valid = [member.value for member in kind]
+        if value in valid:
+            return kind(value)
+        expected = "one of " + ", ".join(valid)
+    else:
+        expected = _JSON_TYPES[kind] + (" or null" if type(None) in kinds else "")
+    raise ConfigurationError(f"{key} must be {expected}, got {json.dumps(value)}")
 
 
-def _require_file(path: Path, what: str) -> Path:
-    if not path.is_file():
-        raise ConfigurationError(f"{what} not found: {path}")
-    return path
+def _section(raw: dict, name: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(
+            f"config section {name} must be a JSON object, got {json.dumps(section)}"
+        )
+    return section
 
 
-def _require_dir(path: Path, what: str) -> Path:
-    if not path.is_dir():
-        raise ConfigurationError(f"{what} not found: {path}")
-    return path
+def _reject_unknown(prefix: str, section: dict, valid: typing.Iterable[str]) -> None:
+    unknown = sorted(section.keys() - set(valid))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config key {prefix}{unknown[0]}; valid keys: {', '.join(sorted(valid))}"
+        )
+
+
+def _build(cls: type, name: str, section: dict, paths: tuple[str, ...] = (), **fixed):
+    """Build the settings dataclass ``cls`` from config section ``name``.
+
+    ``paths`` are the section's path keys, read by the caller, and ``fixed``
+    the fields built from them. Every other key must name a field of ``cls``
+    and hold a value of its type; ``cls.__post_init__`` checks the ranges.
+    """
+    hints = typing.get_type_hints(cls)
+    _reject_unknown(f"{name}.", section, (hints.keys() - fixed.keys()) | set(paths))
+    values = {
+        key: _typed(f"{name}.{key}", value, hints[key])
+        for key, value in section.items()
+        if key not in paths
+    }
+    try:
+        return cls(**fixed, **values)
+    except ConfigurationError as exc:
+        # every range check's message starts with the field's name
+        raise ConfigurationError(f"{name}.{exc}") from None
 
 
 def load_config(
@@ -107,101 +162,54 @@ def load_config(
         raise ConfigurationError(f"config file {config_path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {config_path} must hold a JSON object")
-    base = config_path.parent
+    _reject_unknown("", raw, _TOP_KEYS)
+    sections = {name: _section(raw, name) for name in ("corpus", "endpoint", "prompts", "eval")}
 
-    corpus_section = raw.get("corpus", {})
-    if "source_dir" not in corpus_section:
+    def find(key: str, default: Path | None = None, exists=Path.is_file) -> Path | None:
+        # an absent, null or empty path key selects the default
+        name, _, field = key.rpartition(".")
+        value = (sections[name] if name else raw).get(field)
+        if value is None or value == "":
+            return default
+        found = config_path.parent / _typed(key, value, str)
+        if not exists(found):
+            raise ConfigurationError(f"{key} not found: {found}")
+        return found
+
+    source_dir = find("corpus.source_dir", exists=Path.is_dir)
+    if source_dir is None:
         raise ConfigurationError("config lacks corpus.source_dir")
-    source_dir = _require_dir(_resolve(base, corpus_section["source_dir"]), "corpus directory")
-
-    stopwords = default_stopwords()
-    if corpus_section.get("stopwords_file"):
-        stopwords = read_term_file(
-            _require_file(_resolve(base, corpus_section["stopwords_file"]), "stopwords file")
-        )
-    fillers = default_filler_terms()
-    if corpus_section.get("filler_terms_file"):
-        fillers = read_term_file(
-            _require_file(
-                _resolve(base, corpus_section["filler_terms_file"]), "filler terms file"
-            )
-        )
-    preprocess = PreprocessConfig(
-        stopwords=stopwords,
-        domain_filler_terms=fillers,
-        lowercase=bool(corpus_section.get("lowercase", False)),
-        collapse_whitespace=bool(corpus_section.get("collapse_whitespace", True)),
-        max_chunk_chars=int(corpus_section.get("max_chunk_chars", 4000)),
+    stopwords = find("corpus.stopwords_file")
+    fillers = find("corpus.filler_terms_file")
+    preprocess = _build(
+        PreprocessConfig,
+        "corpus",
+        sections["corpus"],
+        ("source_dir", "stopwords_file", "filler_terms_file", "limit"),
+        stopwords=read_term_file(stopwords) if stopwords else default_stopwords(),
+        domain_filler_terms=read_term_file(fillers) if fillers else default_filler_terms(),
     )
-    limit = corpus_section.get("limit")
-    if limit is not None:
-        limit = int(limit)
-
-    endpoint_section = dict(raw.get("endpoint", {}))
-    endpoint_seed = endpoint_section.pop("seed", DEFAULT_SEED)
-    try:
-        endpoint = EndpointConfig(
-            seed=seed if seed is not None else endpoint_seed, **endpoint_section
-        )
-    except TypeError as exc:
-        raise ConfigurationError(f"bad endpoint section: {exc}") from None
-
-    prompts_section = raw.get("prompts", {})
-    template_dir = (
-        _require_dir(_resolve(base, prompts_section["template_dir"]), "prompt template directory")
-        if prompts_section.get("template_dir")
-        else default_prompt_dir()
+    _reject_unknown("prompts.", sections["prompts"], ("template_dir", "examples_file"))
+    generic = find("generic_terms_file")
+    gold_path = find("eval.gold_path", sample_gold_path())
+    eval_settings = _build(
+        EvalSettings, "eval", sections["eval"], ("gold_path",), gold_path=gold_path
     )
-    examples_file = (
-        _require_file(_resolve(base, prompts_section["examples_file"]), "example bank")
-        if prompts_section.get("examples_file")
-        else default_examples_path()
-    )
-
-    generic_terms = default_generic_terms()
-    if raw.get("generic_terms_file"):
-        generic_terms = read_term_file(
-            _require_file(_resolve(base, raw["generic_terms_file"]), "generic terms file")
-        )
-
-    eval_section = raw.get("eval", {})
-    gold_path = (
-        _require_file(_resolve(base, eval_section["gold_path"]), "gold file")
-        if eval_section.get("gold_path")
-        else sample_gold_path()
-    )
-    try:
-        assignment = AssignmentPolicy(eval_section.get("assignment", "greedy"))
-    except ValueError:
-        raise ConfigurationError(
-            f"unknown assignment policy {eval_section.get('assignment')!r}; "
-            "valid: greedy, optimal"
-        ) from None
-    semantic_threshold = float(eval_section.get("semantic_threshold", 0.75))
-    if not 0.0 < semantic_threshold <= 1.0:
-        raise ConfigurationError(
-            f"semantic_threshold must be in (0, 1], got {semantic_threshold}"
-        )
-    eval_settings = EvalSettings(
-        gold_path=gold_path,
-        semantic_threshold=semantic_threshold,
-        assignment=assignment,
-        sample_size=int(eval_section.get("sample_size", 100)),
-        seed=seed if seed is not None else int(eval_section.get("seed", DEFAULT_SEED)),
-        redundancy_threshold=float(eval_section.get("redundancy_threshold", 0.9)),
-        frequency_top_k=int(eval_section.get("frequency_top_k", 20)),
-        heatmap_top_k=int(eval_section.get("heatmap_top_k", 15)),
-    )
-
-    output_dir = Path(out) if out is not None else _resolve(base, raw.get("output_dir", "out"))
+    endpoint = _build(EndpointConfig, "endpoint", sections["endpoint"])
+    if seed is not None:
+        endpoint = replace(endpoint, seed=seed)
+        eval_settings = replace(eval_settings, seed=seed)
     return PipelineConfig(
         source_dir=source_dir,
-        output_dir=output_dir,
+        output_dir=(
+            Path(out) if out is not None
+            else config_path.parent / _typed("output_dir", raw.get("output_dir", "out"), str)
+        ),
         preprocess=preprocess,
         endpoint=endpoint,
-        template_dir=template_dir,
-        examples_file=examples_file,
+        template_dir=find("prompts.template_dir", default_prompt_dir(), Path.is_dir),
+        examples_file=find("prompts.examples_file", default_examples_path()),
         eval=eval_settings,
-        generic_terms=generic_terms,
-        corpus_limit=limit,
+        generic_terms=read_term_file(generic) if generic else default_generic_terms(),
+        corpus_limit=_typed("corpus.limit", sections["corpus"].get("limit"), int | None),
     )

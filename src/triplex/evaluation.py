@@ -52,7 +52,6 @@ __all__ = [
     "load_annotation_csv",
 ]
 
-DEFAULT_SEMANTIC_THRESHOLD = 0.75
 DEFAULT_REDUNDANCY_THRESHOLD = 0.9
 
 ANNOTATION_METRICS = (
@@ -85,8 +84,7 @@ class AssignmentPolicy(enum.Enum):
 @dataclass(frozen=True)
 class MatchConfig:
     mode: MatchMode = MatchMode.EXACT
-    semantic_threshold: float = DEFAULT_SEMANTIC_THRESHOLD
-    partial_min_fields: int = 2
+    semantic_threshold: float = 0.75
     assignment: AssignmentPolicy = AssignmentPolicy.GREEDY
 
     def __post_init__(self) -> None:
@@ -94,8 +92,6 @@ class MatchConfig:
             raise ConfigurationError(
                 f"semantic_threshold must be in (0, 1], got {self.semantic_threshold}"
             )
-        if self.partial_min_fields != 2:
-            raise ConfigurationError("partial matching requires exactly 2 of 3 fields")
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def _eligible_edges(
     pc = np.array([[code[f] for f in _fields(t)] for t in predicted])
     gc = np.array([[code[f] for f in _fields(t)] for t in gold])
     if config.mode is not MatchMode.SEMANTIC:
-        required = 3 if config.mode is MatchMode.EXACT else config.partial_min_fields
+        required = 3 if config.mode is MatchMode.EXACT else 2
         agreements = (pc[:, None, :] == gc[None, :, :]).sum(axis=2)
         rows, cols = np.nonzero(agreements >= required)
         return [(int(pi), int(gi), 1.0) for pi, gi in zip(rows, cols)]

@@ -67,7 +67,7 @@ class EndpointConfig:
             raise ConfigurationError("timeout_ms must be positive")
         if self.profile not in _PROFILES:
             raise ConfigurationError(
-                f"unknown endpoint profile {self.profile!r}; valid: {', '.join(_PROFILES)}"
+                f"profile must be one of {', '.join(_PROFILES)}, got {self.profile!r}"
             )
 
     def fingerprint(self) -> str:

@@ -58,10 +58,6 @@ class PromptVariant(enum.Enum):
             return NotImplemented
         return self.rank < other.rank
 
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
     @classmethod
     def from_name(cls, name: str) -> "PromptVariant":
         for variant in cls:

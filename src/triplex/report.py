@@ -13,6 +13,7 @@ from typing import Mapping
 from xml.sax.saxutils import escape
 
 from .evaluation import Metrics, PredicateDistribution
+from .prompting import PromptVariant
 
 __all__ = [
     "VARIANT_ORDER",
@@ -24,7 +25,7 @@ __all__ = [
     "heatmap",
 ]
 
-VARIANT_ORDER = ("zero-shot", "one-shot", "few-shot", "negative-examples")
+VARIANT_ORDER = tuple(variant.value for variant in PromptVariant)
 
 _MODE_ROWS = (
     ("exact", "precision"),
@@ -37,7 +38,7 @@ _MODE_ROWS = (
 _MODE_TITLES = {"exact": "Exact match", "semantic": "Semantic match"}
 
 
-def _ordered_variants(results: Mapping[str, Mapping[str, Metrics]]) -> list[str]:
+def _ordered_variants(results: Mapping[str, object]) -> list[str]:
     known = [v for v in VARIANT_ORDER if v in results]
     extra = [v for v in results if v not in VARIANT_ORDER]
     return known + extra
@@ -197,8 +198,7 @@ def heatmap_spec_from_distributions(
     """
     if not distributions:
         raise ValueError("heatmap requires at least one distribution")
-    columns = [v for v in VARIANT_ORDER if v in distributions]
-    columns += [v for v in distributions if v not in VARIANT_ORDER]
+    columns = _ordered_variants(distributions)
     combined: dict[str, int] = {}
     for dist in distributions.values():
         for predicate, count in dist.counts.items():

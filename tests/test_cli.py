@@ -92,6 +92,29 @@ def test_sample_rejects_all_variants(config_file, capsys):
     assert "single --variant" in capsys.readouterr().err
 
 
+def test_deficient_example_bank_is_fatal(config_file, tmp_path, capsys):
+    bank = json.loads(
+        (Path(triplex.__file__).parent / "data" / "examples.json").read_text(encoding="utf-8")
+    )
+    bank["positive_examples"] = []
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(bank), encoding="utf-8")
+    config = config_file(prompts={"examples_file": str(bank_path)})
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "one-shot"]) == 2
+    assert "example bank is incomplete" in capsys.readouterr().err
+
+
+def test_gold_file_with_empty_field_is_fatal(config_file, tmp_path, capsys):
+    gold = tmp_path / "gold.csv"
+    gold.write_text("subject,predicate,object\nJapan,,customs duties\n", encoding="utf-8")
+    config = config_file(eval={"gold_path": str(gold)})
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    assert main(["eval", "--config", str(config)]) == 2
+    assert "row 2: empty predicate" in capsys.readouterr().err
+
+
 def test_truncated_corpus_cache_is_fatal_and_names_file_and_line(config_file, capsys):
     config = config_file()
     assert main(["ingest", "--config", str(config)]) == 0

@@ -262,8 +262,6 @@ def test_match_config_validation():
         MatchConfig(semantic_threshold=0.0)
     with pytest.raises(ConfigurationError):
         MatchConfig(semantic_threshold=1.5)
-    with pytest.raises(ConfigurationError):
-        MatchConfig(partial_min_fields=1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ def test_variant_names_and_order():
         "few-shot",
         "negative-examples",
     ]
-    assert [v.cli_name for v in LADDER] == [v.value for v in LADDER]
     assert LADDER == sorted(LADDER)
     assert [v.rank for v in LADDER] == [0, 1, 2, 3]
     assert PromptVariant.ZERO_SHOT < PromptVariant.NEGATIVE_EXAMPLES
