@@ -103,7 +103,7 @@ def main() -> None:
     for name, dist in distributions.items():
         svg_path = out_dir / f"freq_{name}.svg"
         svg_path.write_text(
-            frequency_chart(dist, title=f"Predicate frequency — {name}"),
+            frequency_chart(dist, top_k=20, title=f"Predicate frequency — {name}"),
             encoding="utf-8",
         )
         print(f"  wrote {svg_path}")

@@ -52,6 +52,9 @@ class EvalSettings:
         MatchConfig(semantic_threshold=self.semantic_threshold)  # holds its range check
         if self.sample_size < 0:
             raise ConfigurationError(f"sample_size must not be negative, got {self.sample_size}")
+        for name in ("frequency_top_k", "heatmap_top_k"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,10 @@ class PipelineConfig:
     eval: EvalSettings
     generic_terms: frozenset[str]
     corpus_limit: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.corpus_limit is not None and self.corpus_limit < 0:
+            raise ConfigurationError(f"corpus.limit must not be negative, got {self.corpus_limit}")
 
     @property
     def corpus_cache(self) -> Path:

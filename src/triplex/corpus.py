@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -108,28 +109,28 @@ def _has_unit_descendant(elem: ET.Element) -> bool:
     return any(_is_unit(child) or _has_unit_descendant(child) for child in elem)
 
 
-def _collect_units(elem: ET.Element, prefix: str, out: list[tuple[str, str]]) -> None:
-    """Walk the tree collecting leaf text units.
+def _collect_units(elems: Iterable[ET.Element], prefix: str, out: list[tuple[str, str]]) -> None:
+    """Walk ``elems`` and their descendants collecting leaf text units.
 
     A chapter that contains articles contributes a path component; only the
     innermost article/chapter elements yield text, so no passage is counted
     twice.
     """
     counters: dict[str, int] = {}
-    for child in elem:
-        if _is_unit(child):
-            tag = _local_tag(child.tag)
+    for elem in elems:
+        if _is_unit(elem):
+            tag = _local_tag(elem.tag)
             counters[tag] = counters.get(tag, 0) + 1
             label = f"{tag}:{counters[tag]:03d}"
             path = f"{prefix}/{label}" if prefix else label
-            if _has_unit_descendant(child):
-                _collect_units(child, path, out)
+            if _has_unit_descendant(elem):
+                _collect_units(elem, path, out)
             else:
-                text = "".join(child.itertext())
+                text = "".join(elem.itertext())
                 if text.strip():
                     out.append((path, text))
         else:
-            _collect_units(child, prefix, out)
+            _collect_units(elem, prefix, out)
 
 
 def _extract_parties(root: ET.Element, filename: str) -> tuple[str | None, str | None]:
@@ -163,16 +164,7 @@ def _extract_sectors(root: ET.Element) -> tuple[str, ...]:
 def _parse_file(path: Path) -> AgreementDocument:
     root = ET.parse(path).getroot()
     units: list[tuple[str, str]] = []
-    if _is_unit(root):
-        # whole document is a single unit element
-        if _has_unit_descendant(root):
-            _collect_units(root, f"{_local_tag(root.tag)}:001", units)
-        else:
-            text = "".join(root.itertext())
-            if text.strip():
-                units.append((f"{_local_tag(root.tag)}:001", text))
-    else:
-        _collect_units(root, "", units)
+    _collect_units([root], "", units)  # the root is labelled like any other unit
     party_a, party_b = _extract_parties(root, path.name)
     return AgreementDocument(
         doc_id=path.stem,

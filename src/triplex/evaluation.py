@@ -356,9 +356,7 @@ class AnnotationRecord:
                 raise ValueError(f"score {name} must be 1-5, got {value!r}")
 
 
-def sample_for_annotation(
-    run: ExtractionRun, n: int = 100, seed: int = 42
-) -> list[AnnotationRecord]:
+def sample_for_annotation(run: ExtractionRun, n: int, seed: int) -> list[AnnotationRecord]:
     """Uniformly sample ``n`` distinct triples for human annotation.
 
     Deterministic for a fixed seed; returns everything when the run holds

@@ -42,6 +42,7 @@ COMPLEX_PREDICATE_TOKENS = 4
 _QUOTED_TUPLE_RE = re.compile(
     r"""^\(?\s*(['"])(?P<s>.*?)\1\s*,\s*(['"])(?P<p>.*?)\3\s*,\s*(['"])(?P<o>.*?)\5\s*\)?\s*[.,;]?\s*$"""
 )
+_FIELD_NAMES = ("subject", "predicate", "object")
 _WRAPPER_PAIRS = (
     ("(", ")"),
     ("[", "]"),
@@ -133,48 +134,23 @@ def parse_triples(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int,
             body = line.rstrip(".,;")
             if body.startswith("(") and body.endswith(")"):
                 body = body[1:-1]
-            parts = [part.strip() for part in body.split("|")]
-            if len(parts) != 3:
+            fields = [part.strip() for part in body.split("|")]
+            if len(fields) != 3:
                 rejections.append(
-                    (number, raw_line, f"expected 3 fields separated by '|', got {len(parts)}")
+                    (number, raw_line, f"expected 3 fields separated by '|', got {len(fields)}")
                 )
                 continue
-            empty = [name for name, part in zip(("subject", "predicate", "object"), parts) if not part]
-            if empty:
-                rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
+        else:
+            quoted = _QUOTED_TUPLE_RE.match(line)
+            if not quoted:
+                rejections.append((number, raw_line, "not a recognizable triple line"))
                 continue
-            candidates.append(
-                TripleCandidate(
-                    subject=parts[0],
-                    predicate=parts[1],
-                    object=parts[2],
-                    source_line=raw_line,
-                    line_number=number,
-                )
-            )
+            fields = [field.strip() for field in quoted.group("s", "p", "o")]
+        empty = [name for name, field in zip(_FIELD_NAMES, fields) if not field]
+        if empty:
+            rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
             continue
-        quoted = _QUOTED_TUPLE_RE.match(line)
-        if quoted:
-            fields = {name: quoted.group(name).strip() for name in ("s", "p", "o")}
-            empty = [
-                full
-                for short, full in (("s", "subject"), ("p", "predicate"), ("o", "object"))
-                if not fields[short]
-            ]
-            if empty:
-                rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
-                continue
-            candidates.append(
-                TripleCandidate(
-                    subject=fields["s"],
-                    predicate=fields["p"],
-                    object=fields["o"],
-                    source_line=raw_line,
-                    line_number=number,
-                )
-            )
-            continue
-        rejections.append((number, raw_line, "not a recognizable triple line"))
+        candidates.append(TripleCandidate(*fields, source_line=raw_line, line_number=number))
     return candidates, rejections
 
 
@@ -372,7 +348,7 @@ def run_extraction(
         doc_id, article_id, chunk_index, text = task
         prompt = build_prompt(variant, bank, text, templates)
         try:
-            reply = client.complete(prompt)
+            reply = client.complete(prompt.text)
         except TransportError as exc:
             return (doc_id, article_id, chunk_index, None, str(exc))
         candidates, rejections = parse_triples(reply)
@@ -466,13 +442,12 @@ def _triple_record(triple: Triple) -> dict:
     }
 
 
-def write_run(run: ExtractionRun, path: str | Path, stats_path: str | Path | None = None) -> None:
-    """Write a run as JSONL (one triple per line) plus a stats sidecar."""
+def write_run(run: ExtractionRun, path: str | Path) -> None:
+    """Write a run as JSONL (one triple per line) plus a ``.stats.json`` sidecar."""
     target = Path(path)
     lines = [json.dumps(_triple_record(t), ensure_ascii=False) for t in run.triples]
     target.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    sidecar = Path(stats_path) if stats_path else target.with_suffix(".stats.json")
-    sidecar.write_text(
+    target.with_suffix(".stats.json").write_text(
         json.dumps(
             {
                 "variant": run.variant.value,

@@ -53,8 +53,8 @@ def load_gold(path: str | Path) -> GoldSet:
     """Load and normalize a gold CSV.
 
     Rows with any empty field are fatal and reported together with their row
-    numbers. Duplicate triples (after normalization) collapse to the first
-    occurrence with a logged warning.
+    numbers; so is a file with no triple rows. Duplicate triples (after
+    normalization) collapse to the first occurrence with a logged warning.
     """
     source = Path(path)
     if not source.is_file():
@@ -108,6 +108,8 @@ def load_gold(path: str | Path) -> GoldSet:
         raise GoldValidationError(
             f"gold file {source} has empty fields: " + "; ".join(empty_rows)
         )
+    if not triples:
+        raise GoldValidationError(f"gold file {source} has no triples")
     return GoldSet(
         triples=tuple(triples),
         annotator=annotator,

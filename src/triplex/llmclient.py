@@ -15,7 +15,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -35,8 +35,38 @@ __all__ = [
 EMBEDDING_DIM = 256
 ENDPOINT_ENV_VAR = "TRIPLEX_ENDPOINT"
 
-_PROFILES = ("ollama", "openai")
 _TRIGRAM_SALT = b"triplex-mock-embed-v1:"
+_BACKOFF_BASE_S = 0.25
+
+
+class _Wire(NamedTuple):
+    """A wire profile: default paths, payload fields, and where each reply holds its result."""
+
+    chat_path: str
+    chat_reply: tuple  # keys leading to the reply text
+    embeddings_path: str
+    embedding_reply: tuple  # keys leading to the vector
+    max_tokens_key: str
+    chat_fields: Callable[[dict], dict]  # decoding options -> the chat payload's tail
+    embed_fields: Callable[[str], dict]  # text -> the embedding payload's tail
+
+
+_WIRES = {
+    "ollama": _Wire(
+        chat_path="/api/chat", chat_reply=("message", "content"),
+        embeddings_path="/api/embeddings", embedding_reply=("embedding",),
+        max_tokens_key="num_predict",
+        chat_fields=lambda decoding: {"stream": False, "options": decoding},
+        embed_fields=lambda text: {"prompt": text},
+    ),
+    "openai": _Wire(
+        chat_path="/v1/chat/completions", chat_reply=("choices", 0, "message", "content"),
+        embeddings_path="/v1/embeddings", embedding_reply=("data", 0, "embedding"),
+        max_tokens_key="max_tokens",
+        chat_fields=lambda decoding: decoding,
+        embed_fields=lambda text: {"input": [text]},
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -65,9 +95,9 @@ class EndpointConfig:
             raise ConfigurationError("max_retries must not be negative")
         if self.timeout_ms <= 0:
             raise ConfigurationError("timeout_ms must be positive")
-        if self.profile not in _PROFILES:
+        if self.profile not in _WIRES:
             raise ConfigurationError(
-                f"profile must be one of {', '.join(_PROFILES)}, got {self.profile!r}"
+                f"profile must be one of {', '.join(_WIRES)}, got {self.profile!r}"
             )
 
     def fingerprint(self) -> str:
@@ -283,27 +313,20 @@ class HttpTransport:
         config: EndpointConfig,
         session: requests.Session | None = None,
         sleeper=time.sleep,
-        backoff_base: float = 0.25,
     ) -> None:
         self.config = config
-        self.base_url = os.environ.get(ENDPOINT_ENV_VAR) or config.base_url
         self.session = session or requests.Session()
         self._sleep = sleeper
-        self._backoff_base = backoff_base
+        self._wire = _WIRES[config.profile]
+        base_url = (os.environ.get(ENDPOINT_ENV_VAR) or config.base_url).rstrip("/")
+        self._chat_url = base_url + (config.chat_path or self._wire.chat_path)
+        self._embeddings_url = base_url + (config.embeddings_path or self._wire.embeddings_path)
 
-    def _paths(self) -> tuple[str, str]:
-        if self.config.profile == "openai":
-            chat, embed = "/v1/chat/completions", "/v1/embeddings"
-        else:
-            chat, embed = "/api/chat", "/api/embeddings"
-        return (self.config.chat_path or chat, self.config.embeddings_path or embed)
-
-    def _request(self, path: str, payload: dict) -> dict:
-        url = self.base_url.rstrip("/") + path
+    def _request(self, url: str, payload: dict) -> dict:
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                self._sleep(self._backoff_base * 2 ** (attempt - 1))
+                self._sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
                 response = self.session.post(
                     url, json=payload, timeout=self.config.timeout_ms / 1000.0
@@ -331,59 +354,32 @@ class HttpTransport:
             f"{last_error}"
         )
 
-    def chat(self, prompt_text: str) -> str:
-        chat_path, _ = self._paths()
-        if self.config.profile == "openai":
-            payload = {
-                "model": self.config.model_name,
-                "messages": [{"role": "user", "content": prompt_text}],
-                "temperature": self.config.temperature,
-                "max_tokens": self.config.max_tokens,
-            }
-            if self.config.seed is not None:
-                payload["seed"] = self.config.seed
-            data = self._request(chat_path, payload)
-            try:
-                return data["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError):
-                raise TransportError(f"unexpected chat response shape: {str(data)[:200]}")
-        options = {
-            "temperature": self.config.temperature,
-            "num_predict": self.config.max_tokens,
-        }
-        if self.config.seed is not None:
-            options["seed"] = self.config.seed
-        payload = {
-            "model": self.config.model_name,
-            "messages": [{"role": "user", "content": prompt_text}],
-            "stream": False,
-            "options": options,
-        }
-        data = self._request(chat_path, payload)
+    def _reply(self, kind: str, url: str, payload: dict, location: tuple) -> object:
+        """POST ``payload`` and return the value at ``location`` in the JSON reply."""
+        data = self._request(url, payload)
         try:
-            return data["message"]["content"]
-        except (KeyError, TypeError):
-            raise TransportError(f"unexpected chat response shape: {str(data)[:200]}")
+            value = data
+            for key in location:
+                value = value[key]
+            return value
+        except (KeyError, IndexError, TypeError):
+            raise TransportError(f"unexpected {kind} response shape: {str(data)[:200]}")
+
+    def chat(self, prompt_text: str) -> str:
+        config = self.config
+        decoding = {"temperature": config.temperature, self._wire.max_tokens_key: config.max_tokens}
+        if config.seed is not None:
+            decoding["seed"] = config.seed
+        payload = {
+            "model": config.model_name,
+            "messages": [{"role": "user", "content": prompt_text}],
+            **self._wire.chat_fields(decoding),
+        }
+        return self._reply("chat", self._chat_url, payload, self._wire.chat_reply)
 
     def embed_one(self, text: str) -> Sequence[float]:
-        _, embed_path = self._paths()
-        if self.config.profile == "openai":
-            data = self._request(
-                embed_path, {"model": self.config.embedding_model, "input": [text]}
-            )
-            try:
-                return data["data"][0]["embedding"]
-            except (KeyError, IndexError, TypeError):
-                raise TransportError(
-                    f"unexpected embedding response shape: {str(data)[:200]}"
-                )
-        data = self._request(
-            embed_path, {"model": self.config.embedding_model, "prompt": text}
-        )
-        try:
-            return data["embedding"]
-        except (KeyError, TypeError):
-            raise TransportError(f"unexpected embedding response shape: {str(data)[:200]}")
+        payload = {"model": self.config.embedding_model, **self._wire.embed_fields(text)}
+        return self._reply("embedding", self._embeddings_url, payload, self._wire.embedding_reply)
 
 
 class LlmClient:
@@ -414,12 +410,11 @@ class LlmClient:
             self.stats["total_latency_ms"] += elapsed_ms
         return result
 
-    def complete(self, prompt) -> str:
-        """Send one chat request. Accepts a RenderedPrompt or a plain string."""
-        text = getattr(prompt, "text", prompt)
-        if not isinstance(text, str) or not text.strip():
+    def complete(self, prompt_text: str) -> str:
+        """Send one chat request with the prompt's text."""
+        if not isinstance(prompt_text, str) or not prompt_text.strip():
             raise ValueError("complete requires a non-empty prompt")
-        return self._timed(self.transport.chat, text)
+        return self._timed(self.transport.chat, prompt_text)
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """Embed each text, returning unit-length vectors in input order.

@@ -117,9 +117,7 @@ def _svg_header(width: int, height: int) -> str:
     )
 
 
-def frequency_chart(
-    distribution: PredicateDistribution, top_k: int = 20, title: str = ""
-) -> str:
+def frequency_chart(distribution: PredicateDistribution, top_k: int, title: str = "") -> str:
     """Horizontal bar chart of predicate frequencies, sorted descending.
 
     Shows at most ``top_k`` bars; any remaining predicates fold into a final
@@ -188,7 +186,7 @@ class HeatmapSpec:
 
 
 def heatmap_spec_from_distributions(
-    distributions: Mapping[str, PredicateDistribution], top_k: int = 15
+    distributions: Mapping[str, PredicateDistribution], top_k: int
 ) -> HeatmapSpec:
     """Rows are the overall top-k predicates, columns the given runs.
 
@@ -296,7 +294,7 @@ def write_report_bundle(
     table_results: Mapping[str, Mapping[str, Metrics]],
     distributions: Mapping[str, PredicateDistribution],
     heatmap_spec: HeatmapSpec,
-    frequency_top_k: int = 20,
+    frequency_top_k: int,
     extra: Mapping | None = None,
 ) -> list[Path]:
     """Write metrics.csv/.txt, per-variant frequency charts, heatmap.svg, report.json."""

@@ -7,8 +7,11 @@ Run after an intentional behavior change, then review the diff:
 
 from __future__ import annotations
 
+import json
+import tempfile
 from pathlib import Path
 
+from triplex.cli import main as cli_main
 from triplex.corpus import PreprocessConfig, load_corpus
 from triplex.evaluation import predicate_distribution
 from triplex.extraction import run_extraction, write_run
@@ -18,6 +21,22 @@ from triplex.report import heatmap, heatmap_spec_from_distributions
 
 TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden"
+
+
+def run_all_eval_report(work_dir: Path) -> bytes:
+    """``eval_report.json`` of a mock ``run-all`` over the fixture corpus."""
+    settings = {
+        "corpus": {"source_dir": str(TESTS / "fixtures" / "corpus"), "max_chunk_chars": 600},
+        "output_dir": str(work_dir / "out"),
+        "endpoint": {"seed": 42},
+        "eval": {"seed": 42},
+    }
+    config = work_dir / "config.json"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    code = cli_main(["run-all", "--config", str(config)])
+    if code != 0:
+        raise RuntimeError(f"run-all exited {code}")
+    return (work_dir / "out" / "eval_report.json").read_bytes()
 
 
 def main() -> None:
@@ -42,6 +61,11 @@ def main() -> None:
     svg = heatmap(spec, title="Predicate frequency by prompt variant")
     (GOLDEN / "heatmap.svg").write_text(svg, encoding="utf-8")
     print(f"heatmap.svg: {len(spec.rows)} rows x {len(spec.columns)} columns")
+
+    # every match mode, partial included, of a full mock run-all
+    with tempfile.TemporaryDirectory() as work:
+        (GOLDEN / "eval_report.json").write_bytes(run_all_eval_report(Path(work)))
+    print("eval_report.json: run-all on the fixture corpus")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import triplex
+from regen_golden import run_all_eval_report
 from triplex.cli import main
 from triplex.prompting import PromptVariant
 
@@ -113,6 +114,18 @@ def test_gold_file_with_empty_field_is_fatal(config_file, tmp_path, capsys):
     assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
     assert main(["eval", "--config", str(config)]) == 2
     assert "row 2: empty predicate" in capsys.readouterr().err
+
+
+def test_gold_file_with_only_a_header_is_fatal(config_file, tmp_path, capsys):
+    gold = tmp_path / "gold.csv"
+    gold.write_text("# annotator: nobody\nsubject,predicate,object\n\n", encoding="utf-8")
+    config = config_file(eval={"gold_path": str(gold)})
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"gold file {gold} has no triples" in stderr
+    assert "Traceback" not in stderr
 
 
 def test_truncated_corpus_cache_is_fatal_and_names_file_and_line(config_file, capsys):
@@ -333,6 +346,11 @@ def test_run_all_produces_full_artifact_tree(config_file):
     assert len(list((out / "runs").glob("*.jsonl"))) == 4
     assert (out / "eval_report.json").is_file()
     assert len(list((out / "report").iterdir())) == 8
+
+
+def test_run_all_eval_report_matches_golden(tmp_path, golden_dir):
+    # covers every match mode, the partial block included
+    assert run_all_eval_report(tmp_path) == (golden_dir / "eval_report.json").read_bytes()
 
 
 def test_run_all_propagates_partial_failures(config_file, corpus_with_errors_dir):

@@ -165,6 +165,10 @@ MALFORMED = [
     (None, "endpoint", [1], "config section endpoint must be a JSON object"),
     (None, "corpus", None, "config section corpus must be a JSON object"),
     (None, "output_dir", 3, "output_dir must be a string"),
+    ("corpus", "limit", -1, "corpus.limit must not be negative, got -1"),
+    ("eval", "frequency_top_k", 0, "eval.frequency_top_k must be at least 1, got 0"),
+    ("eval", "frequency_top_k", -2, "eval.frequency_top_k must be at least 1, got -2"),
+    ("eval", "heatmap_top_k", 0, "eval.heatmap_top_k must be at least 1, got 0"),
 ]
 
 

@@ -101,6 +101,32 @@ def test_leaf_units_only_no_double_counting(corpus_dir):
             assert article.clean_text == ""
 
 
+def test_root_element_that_is_a_unit_is_labelled_like_any_unit(tmp_path):
+    (tmp_path / "a-leaf.xml").write_text(
+        "<Article><title>Scope</title><p>Japan shall eliminate duties.</p></Article>",
+        encoding="utf-8",
+    )
+    (tmp_path / "b-nested.xml").write_text(
+        "<chapter><heading>Trade in goods</heading>"
+        "<article>Tariffs shall be reduced.</article>"
+        "<article>Quotas are abolished.</article>"
+        "</chapter>",
+        encoding="utf-8",
+    )
+    (tmp_path / "c-empty.xml").write_text("<article>  \n </article>", encoding="utf-8")
+    by_id = {d.doc_id: d for d in load_corpus(tmp_path).documents}
+    # a leaf root is the document's single unit, holding all of its text
+    assert [(a.article_id, a.raw_text) for a in by_id["a-leaf"].articles] == [
+        ("article:001", "ScopeJapan shall eliminate duties.")
+    ]
+    # a root holding units contributes the path prefix and no text of its own
+    assert [(a.article_id, a.raw_text) for a in by_id["b-nested"].articles] == [
+        ("chapter:001/article:001", "Tariffs shall be reduced."),
+        ("chapter:001/article:002", "Quotas are abolished."),
+    ]
+    assert by_id["c-empty"].articles == ()
+
+
 def test_unparseable_file_is_reported_not_fatal(corpus_with_errors_dir):
     index = load_corpus(corpus_with_errors_dir)
     assert [d.doc_id for d in index.documents] == ["canada-norway", "japan-thailand-2007"]

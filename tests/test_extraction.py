@@ -111,6 +111,9 @@ def test_parse_accepts_triple_shapes(line, expected):
         ("( | signed | duties)", "empty subject"),
         ("(Japan | signed | )", "empty object"),
         ("' ', 'signed','contract'", "empty subject"),
+        ("( | | ).", "empty subject, predicate, object"),
+        ("('', 'signed', \" \")", "empty subject, object"),
+        ("(\"Japan\", '', 'duties')", "empty predicate"),
         ("Japan exports goods", "not a recognizable triple line"),
     ],
 )

@@ -290,6 +290,79 @@ def test_http_openai_profile_paths_and_shapes():
     assert embed_call["json"] == {"model": "nomic-embed-text", "input": ["t"]}
 
 
+_PINNED_REQUESTS = [
+    (
+        {},
+        "http://localhost:11434/api/chat",
+        '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
+        '"stream": false, "options": {"temperature": 0.0, "num_predict": 2048, "seed": 42}}',
+        "http://localhost:11434/api/embeddings",
+        '{"model": "nomic-embed-text", "prompt": "t"}',
+    ),
+    (
+        {"seed": None, "base_url": "http://h:1/", "chat_path": "/c", "embeddings_path": "/e"},
+        "http://h:1/c",
+        '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
+        '"stream": false, "options": {"temperature": 0.0, "num_predict": 2048}}',
+        "http://h:1/e",
+        '{"model": "nomic-embed-text", "prompt": "t"}',
+    ),
+    (
+        {"profile": "openai", "temperature": 0.5, "max_tokens": 64},
+        "http://localhost:11434/v1/chat/completions",
+        '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
+        '"temperature": 0.5, "max_tokens": 64, "seed": 42}',
+        "http://localhost:11434/v1/embeddings",
+        '{"model": "nomic-embed-text", "input": ["t"]}',
+    ),
+    (
+        {"profile": "openai", "seed": None, "chat_path": "/c"},
+        "http://localhost:11434/c",
+        '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
+        '"temperature": 0.0, "max_tokens": 2048}',
+        "http://localhost:11434/v1/embeddings",
+        '{"model": "nomic-embed-text", "input": ["t"]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, chat_url, chat_body, embed_url, embed_body", _PINNED_REQUESTS)
+def test_http_request_urls_and_payloads_are_pinned(
+    monkeypatch, overrides, chat_url, chat_body, embed_url, embed_body
+):
+    # key order included: json.dumps keeps the payload's insertion order
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    if overrides.get("profile") == "openai":
+        replies = [{"choices": [{"message": {"content": "ok"}}]}, {"data": [{"embedding": [1.0]}]}]
+    else:
+        replies = [{"message": {"content": "ok"}}, {"embedding": [1.0]}]
+    session = FakeSession([FakeResponse(200, reply) for reply in replies])
+    transport, _ = _transport(session, **overrides)
+    assert transport.chat("p") == "ok"
+    assert transport.embed_one("t") == [1.0]
+    chat_call, embed_call = session.calls
+    assert (chat_call["url"], json.dumps(chat_call["json"])) == (chat_url, chat_body)
+    assert (embed_call["url"], json.dumps(embed_call["json"])) == (embed_url, embed_body)
+
+
+@pytest.mark.parametrize(
+    "profile, reply",
+    [
+        ("ollama", {"message": "flat"}),
+        ("ollama", ["not", "an", "object"]),
+        ("openai", {"choices": []}),
+        ("openai", {"choices": [{"text": "legacy"}]}),
+    ],
+)
+def test_http_wrong_reply_shape_names_the_request_kind(profile, reply):
+    session = FakeSession([FakeResponse(200, reply), FakeResponse(200, reply)])
+    transport, _ = _transport(session, profile=profile, max_retries=0)
+    with pytest.raises(TransportError, match="^unexpected chat response shape: "):
+        transport.chat("hello")
+    with pytest.raises(TransportError, match="^unexpected embedding response shape: "):
+        transport.embed_one("hello")
+
+
 def test_http_unexpected_response_shape_is_transport_error():
     session = FakeSession([FakeResponse(200, {"unexpected": True})] * 4)
     transport, _ = _transport(session, max_retries=0)

@@ -98,7 +98,7 @@ def test_metrics_csv_round_trip_at_two_decimals():
 
 def test_frequency_chart_bars_sorted_and_proportional():
     dist = PredicateDistribution(counts={"x": 2, "y": 1}, total=3)
-    svg = frequency_chart(dist)
+    svg = frequency_chart(dist, top_k=20)
     assert svg.startswith("<svg ")
     assert svg.index(">x<") < svg.index(">y<")  # descending count order
     assert 'width="420"' in svg  # the top bar spans the full chart width
@@ -108,7 +108,7 @@ def test_frequency_chart_bars_sorted_and_proportional():
 
 def test_frequency_chart_breaks_count_ties_alphabetically():
     dist = PredicateDistribution(counts={"b": 1, "a": 1}, total=2)
-    svg = frequency_chart(dist)
+    svg = frequency_chart(dist, top_k=20)
     assert svg.index(">a<") < svg.index(">b<")
 
 
@@ -129,19 +129,19 @@ def test_frequency_chart_no_fold_bar_when_under_limit():
 
 def test_frequency_chart_escapes_markup_in_labels():
     dist = PredicateDistribution(counts={"a<b>&c": 1}, total=1)
-    svg = frequency_chart(dist)
+    svg = frequency_chart(dist, top_k=20)
     assert "a&lt;b&gt;&amp;c" in svg
     assert "a<b>&c" not in svg
 
 
 def test_frequency_chart_rejects_empty():
     with pytest.raises(ValueError):
-        frequency_chart(PredicateDistribution(counts={}, total=0))
+        frequency_chart(PredicateDistribution(counts={}, total=0), top_k=20)
 
 
 def test_frequency_chart_is_deterministic():
     dist = PredicateDistribution(counts={"signed": 3, "grants": 1}, total=4)
-    assert frequency_chart(dist, title="t") == frequency_chart(dist, title="t")
+    assert frequency_chart(dist, 20, title="t") == frequency_chart(dist, 20, title="t")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,9 @@ def _bundle_inputs():
 
 def test_write_report_bundle_writes_expected_files(tmp_path):
     table, distributions, spec = _bundle_inputs()
-    written = write_report_bundle(tmp_path / "report", table, distributions, spec)
+    written = write_report_bundle(
+        tmp_path / "report", table, distributions, spec, frequency_top_k=20
+    )
     names = sorted(p.name for p in written)
     assert names == [
         "freq_few-shot.svg",
@@ -248,14 +250,16 @@ def test_write_report_bundle_skips_empty_distributions(tmp_path):
         **distributions,
         "one-shot": PredicateDistribution(counts={}, total=0),
     }
-    written = write_report_bundle(tmp_path / "report", table, distributions, spec)
+    written = write_report_bundle(
+        tmp_path / "report", table, distributions, spec, frequency_top_k=20
+    )
     assert "freq_one-shot.svg" not in {p.name for p in written}
 
 
 def test_write_report_bundle_merges_extra_metadata(tmp_path):
     table, distributions, spec = _bundle_inputs()
     write_report_bundle(
-        tmp_path / "report", table, distributions, spec, extra={"seed": 42}
+        tmp_path / "report", table, distributions, spec, 20, extra={"seed": 42}
     )
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
     assert report["seed"] == 42
@@ -263,8 +267,8 @@ def test_write_report_bundle_merges_extra_metadata(tmp_path):
 
 def test_write_report_bundle_is_byte_deterministic(tmp_path):
     table, distributions, spec = _bundle_inputs()
-    first = write_report_bundle(tmp_path / "a", table, distributions, spec)
-    second = write_report_bundle(tmp_path / "b", table, distributions, spec)
+    first = write_report_bundle(tmp_path / "a", table, distributions, spec, frequency_top_k=20)
+    second = write_report_bundle(tmp_path / "b", table, distributions, spec, frequency_top_k=20)
     for a, b in zip(first, second):
         assert a.name == b.name
         assert a.read_bytes() == b.read_bytes()
