@@ -4,171 +4,27 @@ The pipeline: load an XML corpus, preprocess and chunk it, prompt a model
 with one of four escalating prompt variants, parse the output into
 normalized triples, and score the result against a gold benchmark with
 exact, partial, and embedding-based semantic matching.
+
+Every name a module lists in its ``__all__`` is importable from here.
 """
 
-from .corpus import (
-    AgreementDocument,
-    ArticleUnit,
-    CorpusIndex,
-    PreprocessConfig,
-    chunk_document,
-    load_corpus,
-    preprocess,
-    preprocess_document,
-    preprocess_index,
-    read_corpus_jsonl,
-    write_corpus_jsonl,
-)
-from .errors import (
-    BankValidationError,
-    ConfigurationError,
-    ExtractionError,
-    GoldValidationError,
-    TransportError,
-    TriplexError,
-)
-from .evaluation import (
-    ANNOTATION_METRICS,
-    AnnotationRecord,
-    AssignmentPolicy,
-    MatchConfig,
-    MatchMode,
-    MatchResult,
-    Metrics,
-    coverage_score,
-    distribution_divergence,
-    f1_score,
-    match,
-    metrics_from,
-    predicate_distribution,
-    redundancy_score,
-    sample_for_annotation,
-    write_annotation_csv,
-)
-from .extraction import (
-    ExtractionRun,
-    Triple,
-    TripleCandidate,
-    dedupe_and_cap,
-    flag_generic,
-    normalize_field,
-    parse_triples,
-    read_run,
-    refine_generic,
-    run_extraction,
-    write_run,
-)
-from .gold import GoldSet, GoldTriple, load_gold
-from .llmclient import (
-    EmbeddingVector,
-    EndpointConfig,
-    HttpTransport,
-    LlmClient,
-    MockTransport,
-    make_client,
-    mock_embedding,
-)
-from .prompting import (
-    ExampleBank,
-    NegativeExample,
-    PositiveExample,
-    PromptTemplates,
-    PromptVariant,
-    RenderedPrompt,
-    build_prompt,
-    default_example_bank,
-    load_example_bank,
-    validate_bank,
-)
-from .report import (
-    HeatmapSpec,
-    frequency_chart,
-    heatmap,
-    heatmap_spec_from_distributions,
-    metrics_table,
-    parse_metrics_csv,
-)
+from . import corpus, errors, evaluation, extraction, gold, llmclient, prompting, report
+from .corpus import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .extraction import *  # noqa: F403
+from .gold import *  # noqa: F403
+from .llmclient import *  # noqa: F403
+from .prompting import *  # noqa: F403
+from .report import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # corpus
-    "AgreementDocument",
-    "ArticleUnit",
-    "CorpusIndex",
-    "PreprocessConfig",
-    "chunk_document",
-    "load_corpus",
-    "preprocess",
-    "preprocess_document",
-    "preprocess_index",
-    "read_corpus_jsonl",
-    "write_corpus_jsonl",
-    # errors
-    "BankValidationError",
-    "ConfigurationError",
-    "ExtractionError",
-    "GoldValidationError",
-    "TransportError",
-    "TriplexError",
-    # evaluation
-    "ANNOTATION_METRICS",
-    "AnnotationRecord",
-    "AssignmentPolicy",
-    "MatchConfig",
-    "MatchMode",
-    "MatchResult",
-    "Metrics",
-    "coverage_score",
-    "distribution_divergence",
-    "f1_score",
-    "match",
-    "metrics_from",
-    "predicate_distribution",
-    "redundancy_score",
-    "sample_for_annotation",
-    "write_annotation_csv",
-    # extraction
-    "ExtractionRun",
-    "Triple",
-    "TripleCandidate",
-    "dedupe_and_cap",
-    "flag_generic",
-    "normalize_field",
-    "parse_triples",
-    "read_run",
-    "refine_generic",
-    "run_extraction",
-    "write_run",
-    # gold
-    "GoldSet",
-    "GoldTriple",
-    "load_gold",
-    # llmclient
-    "EmbeddingVector",
-    "EndpointConfig",
-    "HttpTransport",
-    "LlmClient",
-    "MockTransport",
-    "make_client",
-    "mock_embedding",
-    # prompting
-    "ExampleBank",
-    "NegativeExample",
-    "PositiveExample",
-    "PromptTemplates",
-    "PromptVariant",
-    "RenderedPrompt",
-    "build_prompt",
-    "default_example_bank",
-    "load_example_bank",
-    "validate_bank",
-    # report
-    "HeatmapSpec",
-    "frequency_chart",
-    "heatmap",
-    "heatmap_spec_from_distributions",
-    "metrics_table",
-    "parse_metrics_csv",
+    *(
+        name
+        for module in (corpus, errors, evaluation, extraction, gold, llmclient, prompting, report)
+        for name in module.__all__
+    ),
 ]

@@ -8,9 +8,9 @@ any package error escapes a command: bad configuration or input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .artifacts import read_json, write_json
 from .config import PipelineConfig, load_config
 from .corpus import load_corpus, preprocess_index, read_corpus_jsonl, write_corpus_jsonl
 from .errors import ConfigurationError, ExtractionError, TriplexError
@@ -51,7 +51,6 @@ def _variants(name: str) -> list[PromptVariant]:
 def cmd_ingest(config: PipelineConfig) -> int:
     index = load_corpus(config.source_dir, limit=config.corpus_limit)
     index = preprocess_index(index, config.preprocess)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     write_corpus_jsonl(index, config.corpus_cache)
     print(
         f"wrote {config.corpus_cache} "
@@ -67,7 +66,6 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
     bank = load_example_bank(config.examples_file)
     templates = PromptTemplates.from_dir(config.template_dir)
     client = make_client(config.endpoint, backend)
-    config.runs_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for variant in _variants(variant_name):
         try:
@@ -169,12 +167,24 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
         entry["coverage"] = round(coverage_score(run.triples, gold.triples), 6)
         entry["n_predicted"] = len(run.triples)
         report["variants"][name] = entry
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    config.eval_report_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(config.eval_report_path, report)
     print(f"wrote {config.eval_report_path} ({len(runs)} variants, 3 match modes)")
     return EXIT_OK
+
+
+def _table_results(eval_report: dict) -> dict[str, dict[str, Metrics]]:
+    """The exact and semantic P/R/F1 of each variant in an eval report."""
+    return {
+        variant: {
+            mode: Metrics(
+                precision=entry[mode]["precision"],
+                recall=entry[mode]["recall"],
+                f1=entry[mode]["f1"],
+            )
+            for mode in ("exact", "semantic")
+        }
+        for variant, entry in eval_report["variants"].items()
+    }
 
 
 def cmd_report(config: PipelineConfig) -> int:
@@ -183,23 +193,7 @@ def cmd_report(config: PipelineConfig) -> int:
         raise ConfigurationError(
             f"eval report not found: {config.eval_report_path}; run eval first"
         )
-    try:
-        eval_report = json.loads(config.eval_report_path.read_text(encoding="utf-8"))
-        table_results = {
-            variant: {
-                mode: Metrics(
-                    precision=entry[mode]["precision"],
-                    recall=entry[mode]["recall"],
-                    f1=entry[mode]["f1"],
-                )
-                for mode in ("exact", "semantic")
-            }
-            for variant, entry in eval_report["variants"].items()
-        }
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigurationError(
-            f"corrupt eval report {config.eval_report_path}: {exc!r}"
-        ) from None
+    table_results = read_json(config.eval_report_path, "eval report", _table_results)
     distributions = {
         name: predicate_distribution(run.triples) for name, run in runs.items()
     }
@@ -224,7 +218,6 @@ def cmd_sample(config: PipelineConfig, variant_name: str) -> int:
         raise ConfigurationError(f"run file not found: {path}; run extract first")
     run = read_run(path)
     records = sample_for_annotation(run, n=config.eval.sample_size, seed=config.eval.seed)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "annotation_sample.csv"
     write_annotation_csv(records, out_path)
     print(f"wrote {out_path} ({len(records)} rows)")

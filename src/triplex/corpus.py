@@ -9,13 +9,13 @@ unknown rather than invented.
 
 from __future__ import annotations
 
-import json
 import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .artifacts import read_jsonl, write_jsonl
 from .defaults import default_filler_terms, default_stopwords
 from .errors import ConfigurationError
 
@@ -109,14 +109,21 @@ def _has_unit_descendant(elem: ET.Element) -> bool:
     return any(_is_unit(child) or _has_unit_descendant(child) for child in elem)
 
 
-def _collect_units(elems: Iterable[ET.Element], prefix: str, out: list[tuple[str, str]]) -> None:
+def _collect_units(
+    elems: Iterable[ET.Element],
+    prefix: str,
+    out: list[tuple[str, str]],
+    counters: dict[str, int] | None = None,
+) -> None:
     """Walk ``elems`` and their descendants collecting leaf text units.
 
     A chapter that contains articles contributes a path component; only the
     innermost article/chapter elements yield text, so no passage is counted
-    twice.
+    twice. Units are numbered per tag under their nearest enclosing unit: a
+    non-unit wrapper shares its parent's ``counters``, so no two units get
+    the same path.
     """
-    counters: dict[str, int] = {}
+    counters = {} if counters is None else counters
     for elem in elems:
         if _is_unit(elem):
             tag = _local_tag(elem.tag)
@@ -130,7 +137,7 @@ def _collect_units(elems: Iterable[ET.Element], prefix: str, out: list[tuple[str
                 if text.strip():
                     out.append((path, text))
         else:
-            _collect_units(elem, prefix, out)
+            _collect_units(elem, prefix, out, counters)
 
 
 def _extract_parties(root: ET.Element, filename: str) -> tuple[str | None, str | None]:
@@ -328,13 +335,22 @@ def _document_record(doc: AgreementDocument) -> dict:
     }
 
 
+def _document(record: dict) -> AgreementDocument:
+    return AgreementDocument(
+        doc_id=record["doc_id"],
+        party_a=record.get("party_a"),
+        party_b=record.get("party_b"),
+        sectors=tuple(record.get("sectors", ())),
+        articles=tuple(
+            ArticleUnit(a["article_id"], raw_text="", clean_text=a.get("clean_text", ""))
+            for a in record.get("articles", ())
+        ),
+    )
+
+
 def write_corpus_jsonl(index: CorpusIndex, path: str | Path) -> None:
     """Write one JSON object per document, in doc_id order, UTF-8."""
-    lines = [
-        json.dumps(_document_record(doc), ensure_ascii=False)
-        for doc in index.documents
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, map(_document_record, index.documents))
 
 
 def read_corpus_jsonl(path: str | Path) -> CorpusIndex:
@@ -342,34 +358,6 @@ def read_corpus_jsonl(path: str | Path) -> CorpusIndex:
 
     The cache stores clean text only, so ``raw_text`` comes back empty.
     """
-    cache = Path(path)
-    if not cache.is_file():
-        raise ConfigurationError(f"corpus cache not found: {cache}")
-    documents: list[AgreementDocument] = []
-    for lineno, line in enumerate(cache.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            documents.append(
-                AgreementDocument(
-                    doc_id=record["doc_id"],
-                    party_a=record.get("party_a"),
-                    party_b=record.get("party_b"),
-                    sectors=tuple(record.get("sectors", ())),
-                    articles=tuple(
-                        ArticleUnit(
-                            article_id=a["article_id"],
-                            raw_text="",
-                            clean_text=a.get("clean_text", ""),
-                        )
-                        for a in record.get("articles", ())
-                    ),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"corrupt corpus cache {cache}, line {lineno}: {exc!r}"
-            ) from None
+    documents = read_jsonl(path, "corpus cache", _document)
     documents.sort(key=lambda d: d.doc_id)
-    return CorpusIndex(source_dir=str(cache), documents=tuple(documents))
+    return CorpusIndex(source_dir=str(Path(path)), documents=tuple(documents))

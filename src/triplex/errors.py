@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "TriplexError",
+    "ConfigurationError",
+    "TransportError",
+    "ExtractionError",
+    "BankValidationError",
+    "GoldValidationError",
+]
+
 
 class TriplexError(Exception):
     """Base class for all package errors."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .artifacts import write_text
 from .errors import ConfigurationError
 from .extraction import ExtractionRun, Triple
 from .gold import GoldTriple
@@ -383,27 +385,29 @@ _CSV_COLUMNS = (
 
 
 def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        for record in records:
-            t = record.triple
-            writer.writerow(
-                [
-                    t.subject,
-                    t.predicate,
-                    t.object,
-                    t.doc_id,
-                    t.article_id,
-                    t.chunk_index,
-                    t.variant.value,
-                    *[
-                        "" if record.scores.get(m) is None else record.scores[m]
-                        for m in ANNOTATION_METRICS
-                    ],
-                    record.comment,
-                ]
-            )
+    """Write the scoresheet as CSV with ``\\r\\n`` row endings."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(_CSV_COLUMNS)
+    for record in records:
+        t = record.triple
+        writer.writerow(
+            [
+                t.subject,
+                t.predicate,
+                t.object,
+                t.doc_id,
+                t.article_id,
+                t.chunk_index,
+                t.variant.value,
+                *[
+                    "" if record.scores.get(m) is None else record.scores[m]
+                    for m in ANNOTATION_METRICS
+                ],
+                record.comment,
+            ]
+        )
+    write_text(path, buffer.getvalue())
 
 
 def load_annotation_csv(path: str | Path) -> list[AnnotationRecord]:

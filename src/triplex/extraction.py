@@ -8,16 +8,18 @@ untrusted input.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from dataclasses import fields as dataclass_fields
+from operator import attrgetter
 from pathlib import Path
 
+from .artifacts import read_json, read_jsonl, write_json, write_jsonl
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
-from .errors import ConfigurationError, ExtractionError, TransportError
+from .errors import ExtractionError, TransportError
 from .llmclient import LlmClient
 from .prompting import ExampleBank, PromptTemplates, PromptVariant, build_prompt
 
@@ -428,90 +430,57 @@ def run_extraction(
     return run
 
 
-def _triple_record(triple: Triple) -> dict:
+_TRIPLE_FIELDS = tuple(f.name for f in dataclass_fields(Triple))
+# reads every field at once; vars(triple) would leave each triple a lasting __dict__,
+# which the garbage collector then scans for as long as the run is alive
+_triple_values = attrgetter(*_TRIPLE_FIELDS)
+
+
+def _triple(record: dict) -> Triple:
+    return Triple(**{**record, "variant": PromptVariant.from_name(record["variant"])})
+
+
+def _run_meta(meta: dict) -> dict:
     return {
-        "subject": triple.subject,
-        "predicate": triple.predicate,
-        "object": triple.object,
-        "doc_id": triple.doc_id,
-        "article_id": triple.article_id,
-        "chunk_index": triple.chunk_index,
-        "variant": triple.variant.value,
-        "generic_subject": triple.generic_subject,
-        "generic_object": triple.generic_object,
+        "stats": {**_empty_stats(), **meta.get("stats", {})},
+        "endpoint_fingerprint": meta.get("endpoint_fingerprint", ""),
+        "prompt_fingerprint": meta.get("prompt_fingerprint", ""),
+        "variant": PromptVariant.from_name(meta["variant"]) if "variant" in meta else None,
     }
 
 
 def write_run(run: ExtractionRun, path: str | Path) -> None:
     """Write a run as JSONL (one triple per line) plus a ``.stats.json`` sidecar."""
     target = Path(path)
-    lines = [json.dumps(_triple_record(t), ensure_ascii=False) for t in run.triples]
-    target.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    target.with_suffix(".stats.json").write_text(
-        json.dumps(
-            {
-                "variant": run.variant.value,
-                "stats": run.stats,
-                "endpoint_fingerprint": run.endpoint_fingerprint,
-                "prompt_fingerprint": run.prompt_fingerprint,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    records = (
+        dict(zip(_TRIPLE_FIELDS, _triple_values(t)), variant=t.variant.value)
+        for t in run.triples
+    )
+    write_jsonl(target, records)
+    write_json(
+        target.with_suffix(".stats.json"),
+        {
+            "variant": run.variant.value,
+            "stats": run.stats,
+            "endpoint_fingerprint": run.endpoint_fingerprint,
+            "prompt_fingerprint": run.prompt_fingerprint,
+        },
     )
 
 
 def read_run(path: str | Path) -> ExtractionRun:
-    """Rehydrate a run written by :func:`write_run`."""
+    """Rehydrate a run written by :func:`write_run`.
+
+    The run's variant is its records' variant; a run without triples takes
+    the sidecar's, and one without a sidecar is named by its file stem.
+    """
     target = Path(path)
-    triples: list[Triple] = []
-    variant: PromptVariant | None = None
-    for lineno, line in enumerate(target.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            variant = PromptVariant.from_name(record["variant"])
-            triples.append(
-                Triple(
-                    subject=record["subject"],
-                    predicate=record["predicate"],
-                    object=record["object"],
-                    doc_id=record["doc_id"],
-                    article_id=record["article_id"],
-                    chunk_index=record["chunk_index"],
-                    variant=variant,
-                    generic_subject=record.get("generic_subject", False),
-                    generic_object=record.get("generic_object", False),
-                )
-            )
-        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(
-                f"corrupt run file {target}, line {lineno}: {exc!r}"
-            ) from None
-    stats = _empty_stats()
-    endpoint_fingerprint = ""
-    prompt_fingerprint = ""
+    triples = read_jsonl(target, "run file", _triple)
     sidecar = target.with_suffix(".stats.json")
-    if sidecar.is_file():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigurationError(f"corrupt run stats file {sidecar}: {exc}") from None
-        stats.update(meta.get("stats", {}))
-        endpoint_fingerprint = meta.get("endpoint_fingerprint", "")
-        prompt_fingerprint = meta.get("prompt_fingerprint", "")
-        if variant is None and "variant" in meta:
-            variant = PromptVariant.from_name(meta["variant"])
-    if variant is None:
-        stem_name = target.stem
-        variant = PromptVariant.from_name(stem_name)
-    return ExtractionRun(
-        variant=variant,
-        triples=triples,
-        stats=stats,
-        endpoint_fingerprint=endpoint_fingerprint,
-        prompt_fingerprint=prompt_fingerprint,
-    )
+    meta = read_json(sidecar, "run stats file", _run_meta) if sidecar.is_file() else _run_meta({})
+    variant = meta.pop("variant")
+    if triples:
+        variant = triples[-1].variant
+    elif variant is None:
+        variant = PromptVariant.from_name(target.stem)
+    return ExtractionRun(variant=variant, triples=triples, **meta)

@@ -6,12 +6,12 @@ same inputs twice yields byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 from xml.sax.saxutils import escape
 
+from .artifacts import write_json, write_text
 from .evaluation import Metrics, PredicateDistribution
 from .prompting import PromptVariant
 
@@ -23,6 +23,7 @@ __all__ = [
     "HeatmapSpec",
     "heatmap_spec_from_distributions",
     "heatmap",
+    "write_report_bundle",
 ]
 
 VARIANT_ORDER = tuple(variant.value for variant in PromptVariant)
@@ -299,27 +300,16 @@ def write_report_bundle(
 ) -> list[Path]:
     """Write metrics.csv/.txt, per-variant frequency charts, heatmap.svg, report.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     csv_text, table_text = metrics_table(table_results)
-    for name, content in (("metrics.csv", csv_text), ("metrics.txt", table_text)):
-        path = out / name
-        path.write_text(content, encoding="utf-8")
-        written.append(path)
+    files = {"metrics.csv": csv_text, "metrics.txt": table_text}
     for variant, dist in distributions.items():
-        if dist.total == 0:
-            continue
-        path = out / f"freq_{variant}.svg"
-        path.write_text(
-            frequency_chart(dist, top_k=frequency_top_k, title=f"Predicate frequency: {variant}"),
-            encoding="utf-8",
-        )
-        written.append(path)
-    heatmap_path = out / "heatmap.svg"
-    heatmap_path.write_text(
-        heatmap(heatmap_spec, title="Predicate frequency by run"), encoding="utf-8"
-    )
-    written.append(heatmap_path)
+        if dist.total:
+            files[f"freq_{variant}.svg"] = frequency_chart(
+                dist, top_k=frequency_top_k, title=f"Predicate frequency: {variant}"
+            )
+    files["heatmap.svg"] = heatmap(heatmap_spec, title="Predicate frequency by run")
+    for name, content in files.items():
+        write_text(out / name, content)
     bundle = {
         "metrics": {
             variant: {
@@ -342,13 +332,9 @@ def write_report_bundle(
             "cells": [list(row) for row in heatmap_spec.cells],
             "column_remainders": list(heatmap_spec.column_remainders),
         },
-        "files": sorted(p.name for p in written) + ["report.json"],
+        "files": sorted(files) + ["report.json"],
     }
     if extra:
         bundle.update(extra)
-    report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append(report_path)
-    return written
+    write_json(out / "report.json", bundle)
+    return [out / name for name in [*files, "report.json"]]

@@ -1,0 +1,122 @@
+"""The artifact layer: byte-exact atomic writers and readers that name corrupt input."""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from triplex import artifacts
+from triplex.artifacts import read_json, read_jsonl, write_json, write_jsonl, write_text
+from triplex.cli import main
+from triplex.errors import ConfigurationError
+
+
+def test_write_text_keeps_every_byte(tmp_path):
+    path = tmp_path / "sheet.csv"
+    write_text(path, "a,b\r\nZürich,“x”\r\n")
+    assert path.read_bytes() == "a,b\r\nZürich,“x”\r\n".encode("utf-8")
+
+
+def test_json_encodings(tmp_path):
+    write_json(tmp_path / "a.json", {"b": 1, "a": ["é"]})
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == (
+        '{\n  "a": [\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
+    )
+    write_jsonl(tmp_path / "a.jsonl", [{"b": 1, "a": "é"}, [2]])
+    assert (tmp_path / "a.jsonl").read_text(encoding="utf-8") == '{"b": 1, "a": "é"}\n[2]\n'
+    write_jsonl(tmp_path / "empty.jsonl", [])
+    assert (tmp_path / "empty.jsonl").read_bytes() == b""
+
+
+def test_writer_creates_the_parent_directory(tmp_path):
+    write_text(tmp_path / "out" / "runs" / "x.txt", "x")
+    assert (tmp_path / "out" / "runs" / "x.txt").read_text(encoding="utf-8") == "x"
+
+
+def _fail_replace(*_args, **_kwargs):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_text(path, "new"),
+        lambda path: write_json(path, {"new": True}),
+        lambda path: write_jsonl(path, [{"new": True}]),
+    ],
+    ids=["text", "json", "jsonl"],
+)
+def test_failed_replace_keeps_the_old_artifact_and_leaves_no_temp_file(
+    tmp_path, monkeypatch, write
+):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old bytes")
+    monkeypatch.setattr(artifacts.os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+def test_failed_replace_during_ingest_keeps_the_cache(config_file, monkeypatch):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    out = Path(json.loads(config.read_text(encoding="utf-8"))["output_dir"])
+    before = (out / "corpus.jsonl").read_bytes()
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        main(["ingest", "--config", str(config)])
+    assert (out / "corpus.jsonl").read_bytes() == before
+    assert list(out.rglob("*.tmp")) == []
+
+
+def corrupt(path: Path, where: str) -> str:
+    """The message prefix a reader gives for a corrupt ``thing``."""
+    return f"^corrupt thing {re.escape(str(path))}{where}"
+
+
+def test_read_jsonl_builds_each_record_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"n": 1}\n\n  \n{"n": 2}\n', encoding="utf-8")
+    assert read_jsonl(path, "thing", lambda r: r["n"]) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"n": 1', '{"m": 1}', "[1]", '{"n": "x"}'],
+    ids=["truncated", "missing key", "not an object", "build fails"],
+)
+def test_read_jsonl_names_kind_file_and_line(tmp_path, line):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"n": 1}\n' + line + "\n", encoding="utf-8")
+
+    def build(record):
+        if not isinstance(record["n"], int):
+            raise ConfigurationError("n must be an integer")
+        return record.get("n")
+
+    with pytest.raises(ConfigurationError, match=corrupt(path, ", line 2: ")):
+        read_jsonl(path, "thing", build)
+
+
+def test_read_json_names_kind_and_file(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"a": ', encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=corrupt(path, ": .*line 1 column")):
+        read_json(path, "thing", dict)
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=corrupt(path, ": AttributeError")):
+        read_json(path, "thing", lambda obj: obj.get("a"))
+
+
+def test_reader_rejects_a_missing_or_undecodable_file(tmp_path):
+    with pytest.raises(ConfigurationError, match="^thing not found: "):
+        read_json(tmp_path / "absent.json", "thing", dict)
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"a": "Zürich"}\n'.encode("latin-1"))
+    with pytest.raises(ConfigurationError, match=corrupt(path, ": ")):
+        read_jsonl(path, "thing", dict)

@@ -179,6 +179,39 @@ def test_truncated_run_stats_file_is_fatal_and_names_file_and_line(config_file, 
     assert re.search(r"line \d+ column \d+", stderr)
 
 
+@pytest.mark.parametrize("content", ["[]", '{"stats": [1, 2]}'])
+def test_run_stats_file_of_the_wrong_shape_is_fatal_and_names_file(
+    config_file, capsys, content
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    sidecar = out_dir_of(config) / "runs" / "zero-shot.stats.json"
+    sidecar.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"corrupt run stats file {sidecar}:" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_run_record_with_an_undeclared_key_is_fatal_and_names_file_and_line(
+    config_file, capsys
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "confidence": 0.9})
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"corrupt run file {run}, line 3:" in stderr
+    assert "confidence" in stderr
+
+
 def test_truncated_eval_report_is_fatal_and_names_file_and_line(config_file, capsys):
     config = config_file()
     assert main(["ingest", "--config", str(config)]) == 0

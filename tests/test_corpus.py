@@ -127,6 +127,24 @@ def test_root_element_that_is_a_unit_is_labelled_like_any_unit(tmp_path):
     assert by_id["c-empty"].articles == ()
 
 
+def test_units_under_a_non_unit_wrapper_continue_their_parents_numbering(tmp_path):
+    (tmp_path / "wrapped.xml").write_text(
+        "<agreement><chapter>"
+        "<article>Tariffs shall be reduced.</article>"
+        "<section><article>Quotas are abolished.</article>"
+        "<part><article>Licences are automatic.</article></part></section>"
+        "</chapter><annex><chapter>Rules of origin apply.</chapter></annex></agreement>",
+        encoding="utf-8",
+    )
+    (doc,) = load_corpus(tmp_path).documents
+    assert [a.article_id for a in doc.articles] == [
+        "chapter:001/article:001",
+        "chapter:001/article:002",
+        "chapter:001/article:003",
+        "chapter:002",
+    ]
+
+
 def test_unparseable_file_is_reported_not_fatal(corpus_with_errors_dir):
     index = load_corpus(corpus_with_errors_dir)
     assert [d.doc_id for d in index.documents] == ["canada-norway", "japan-thailand-2007"]
