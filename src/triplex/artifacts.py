@@ -1,23 +1,32 @@
-"""The one place that encodes, writes and reads back the pipeline's files.
+"""The one place that reads the pipeline's input files and writes and reads its artifacts.
 
-Every writer replaces its target atomically: the text goes to
-``<name>.tmp`` beside the target, which ``os.replace`` then moves over it, so
-a reader sees the old file or the new one, never a partial write. Every
-reader turns a decoding or building failure into a ``ConfigurationError``
-that names the kind of artifact, the file and, for JSONL, the line.
+Every file is UTF-8; a leading byte-order mark is ignored. Every writer
+replaces its target atomically: the text goes to ``<name>.tmp`` beside the
+target, which ``os.replace`` then moves over it, so a reader sees the old file
+or the new one, never a partial write. A file that cannot be written, read,
+decoded or built is a ``ConfigurationError`` that names the file and, for
+JSONL, the line. :func:`from_json` builds the dataclass a JSON object declares.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import os
+import re
+import types
+import typing
 from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import Any, TypeVar
 
 from .errors import ConfigurationError
 
-__all__ = ["write_text", "write_json", "write_jsonl", "read_json", "read_jsonl"]
+__all__ = [
+    "write_text", "write_json", "write_jsonl", "read_text", "read_json", "read_jsonl",
+    "typed", "reject_unknown", "from_json",
+]
 
 T = TypeVar("T")
 
@@ -25,20 +34,24 @@ T = TypeVar("T")
 _CORRUPT = (ValueError, KeyError, TypeError, AttributeError, ConfigurationError)
 # json.dumps(record, ensure_ascii=False), without building an encoder per record
 _JSONL_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, byte for byte (no newline translation)."""
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {target}: {exc}") from None
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -49,19 +62,21 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
     write_text(path, "".join(_JSONL_ENCODE(r) + "\n" for r in records))
 
 
-def _read(source: Path, kind: str) -> str:
+def read_text(path: str | Path, kind: str) -> str:
+    """The text of input file ``path``, a ``kind`` such as ``gold file``."""
+    source = Path(path)
     if not source.is_file():
         raise ConfigurationError(f"{kind} not found: {source}")
     try:
-        return source.read_text(encoding="utf-8")
-    except ValueError as exc:
-        raise ConfigurationError(f"corrupt {kind} {source}: {exc!r}") from None
+        return source.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"corrupt {kind} {source}: {exc}") from None
 
 
 def read_json(path: str | Path, kind: str, build: Callable[[Any], T]) -> T:
     """Parse one JSON document and return ``build`` of it."""
     source = Path(path)
-    text = _read(source, kind)
+    text = read_text(source, kind)
     try:
         return build(json.loads(text))
     except _CORRUPT as exc:
@@ -72,7 +87,7 @@ def read_jsonl(path: str | Path, kind: str, build: Callable[[Any], T]) -> list[T
     """Return ``build`` of each non-blank line's JSON record, in file order."""
     source = Path(path)
     out: list[T] = []
-    for lineno, line in enumerate(_read(source, kind).splitlines(), 1):
+    for lineno, line in enumerate(read_text(source, kind).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -82,3 +97,80 @@ def read_jsonl(path: str | Path, kind: str, build: Callable[[Any], T]) -> list[T
                 f"corrupt {kind} {source}, line {lineno}: {exc!r}"
             ) from None
     return out
+
+
+def _expected(kind: object) -> str:
+    """What a JSON value must be to fit field type ``kind``, e.g. ``a list of strings``."""
+    if isinstance(kind, enum.EnumMeta):
+        return "one of " + ", ".join(member.value for member in kind)
+    if dataclasses.is_dataclass(kind):
+        return "an object"
+    if typing.get_origin(kind) is tuple:
+        item, *rest = typing.get_args(kind)
+        count = "" if rest == [...] else f"{len(rest) + 1} "
+        # "a string" -> "strings", "a list of 3 strings" -> "lists of 3 strings"
+        return f"a list of {count}" + re.sub(r"^an? (\w+)", r"\1s", _expected(item))
+    return _JSON_TYPES[kind]
+
+
+def typed(key: str, value: object, hint: object) -> object:
+    """JSON ``value`` of key ``key`` if it fits the field type ``hint``.
+
+    An int field takes no bool; a float field also takes an int, as a float;
+    ``null`` fits only an optional field; an enum field takes a member's
+    value; a ``tuple[...]`` field takes a list of its item types, and a
+    dataclass field an object, each checked item by item.
+    """
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kind = kinds[0]
+    if (value is None and type(None) in kinds) or type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    if isinstance(kind, enum.EnumMeta) and value in [member.value for member in kind]:
+        return kind(value)
+    if dataclasses.is_dataclass(kind):
+        return from_json(kind, value, key)
+    if typing.get_origin(kind) is tuple and type(value) is list:
+        items = typing.get_args(kind)
+        if items[1:] == (...,):
+            items = items[:1] * len(value)
+        if len(items) == len(value):
+            return tuple(typed(f"{key}[{i}]", *pair) for i, pair in enumerate(zip(value, items)))
+    expected = _expected(kind) + (" or null" if type(None) in kinds else "")
+    raise ConfigurationError(f"{key} must be {expected}, got {json.dumps(value)}")
+
+
+def reject_unknown(prefix: str, obj: dict, valid: Iterable[str]) -> None:
+    """Raise unless every key of ``obj`` is in ``valid``; the error names ``prefix + key``."""
+    unknown = sorted(obj.keys() - set(valid))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config key {prefix}{unknown[0]}; valid keys: {', '.join(sorted(valid))}"
+        )
+
+
+def from_json(cls: type[T], obj: object, key: str = "", paths: tuple[str, ...] = (), **fixed) -> T:
+    """Build the dataclass ``cls`` from the JSON object ``obj`` found at ``key``.
+
+    ``paths`` are keys of ``obj`` that the caller reads itself, and ``fixed``
+    the fields it built from them. Every other key must name a field of
+    ``cls`` and hold a value of its type; an absent key takes the field's
+    default, and ``cls.__post_init__`` checks the ranges.
+    """
+    if type(obj) is not dict:
+        where = key or "the top level"
+        raise ConfigurationError(f"{where} must be an object, got {json.dumps(obj)}")
+    prefix = f"{key}." if key else ""
+    hints = typing.get_type_hints(cls)
+    reject_unknown(prefix, obj, (hints.keys() - fixed.keys()) | set(paths))
+    values = {
+        name: typed(prefix + name, value, hints[name])
+        for name, value in obj.items()
+        if name not in paths
+    }
+    try:
+        return cls(**fixed, **values)
+    except ConfigurationError as exc:
+        # every range check's message starts with the field's name
+        raise ConfigurationError(f"{prefix}{exc}") from None

@@ -257,51 +257,38 @@ def preprocess_index(index: CorpusIndex, config: PreprocessConfig) -> CorpusInde
     return replace(index, documents=documents)
 
 
-def _split_long_sentence(sentence: str, max_chars: int) -> list[str]:
-    parts: list[str] = []
+def _pack(pieces: Iterable[str], max_chars: int) -> list[str]:
+    """Join consecutive ``pieces`` with a space while the result fits in ``max_chars``.
+
+    A piece longer than ``max_chars`` (an unbroken run longer than a whole
+    chunk) is hard-cut into parts of ``max_chars`` first.
+    """
+    packed: list[str] = []
     current = ""
-    for word in sentence.split(" "):
-        while len(word) > max_chars:
-            # pathological unbroken run longer than a whole chunk: hard cut
-            if current:
-                parts.append(current)
-                current = ""
-            parts.append(word[:max_chars])
-            word = word[max_chars:]
-        candidate = f"{current} {word}" if current else word
-        if len(candidate) <= max_chars:
+    for piece in pieces:
+        parts = (piece,)
+        if len(piece) > max_chars:
+            parts = [piece[i : i + max_chars] for i in range(0, len(piece), max_chars)]
+        for part in parts:
+            candidate = f"{current} {part}" if current else part
+            if len(candidate) > max_chars:
+                packed.append(current)
+                candidate = part
             current = candidate
-        else:
-            if current:
-                parts.append(current)
-            current = word
     if current:
-        parts.append(current)
-    return parts
+        packed.append(current)
+    return packed
 
 
 def chunk_text(text: str, max_chars: int) -> list[str]:
     """Split ``text`` at sentence boundaries into chunks of at most ``max_chars``."""
-    chunks: list[str] = []
-    current = ""
+    pieces: list[str] = []
     for sentence in _SENTENCE_SPLIT.split(text):
-        if not sentence:
-            continue
         if len(sentence) > max_chars:
-            pieces = _split_long_sentence(sentence, max_chars)
-        else:
-            pieces = [sentence]
-        for piece in pieces:
-            candidate = f"{current} {piece}" if current else piece
-            if len(candidate) <= max_chars:
-                current = candidate
-            else:
-                if current:
-                    chunks.append(current)
-                current = piece
-    if current:
-        chunks.append(current)
-    return [c for c in chunks if c.strip()]
+            pieces.extend(_pack(sentence.split(" "), max_chars))
+        elif sentence:
+            pieces.append(sentence)
+    return [c for c in _pack(pieces, max_chars) if c.strip()]
 
 
 def chunk_document(

@@ -9,6 +9,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from .artifacts import read_text
+
 _DATA = resources.files("triplex") / "data"
 
 
@@ -21,7 +23,7 @@ def data_path(*parts: str) -> Path:
 def read_term_file(path: Path) -> frozenset[str]:
     """Lowercased terms of a one-per-line file; blank and ``#`` lines skipped."""
     terms = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path, "term file").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             terms.append(line.lower())

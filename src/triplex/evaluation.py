@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .artifacts import write_text
+from .artifacts import read_text, write_text
 from .errors import ConfigurationError
 from .extraction import ExtractionRun, Triple
 from .gold import GoldTriple
@@ -415,24 +415,23 @@ def load_annotation_csv(path: str | Path) -> list[AnnotationRecord]:
     from .prompting import PromptVariant
 
     records: list[AnnotationRecord] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            triple = Triple(
-                subject=row["subject"],
-                predicate=row["predicate"],
-                object=row["object"],
-                doc_id=row.get("doc_id", ""),
-                article_id=row.get("article_id", ""),
-                chunk_index=int(row.get("chunk_index") or 0),
-                variant=PromptVariant.from_name(row["variant"]),
-            )
-            scores: dict[str, int | None] = {}
-            for name in ANNOTATION_METRICS:
-                raw = (row.get(name) or "").strip()
-                scores[name] = int(raw) if raw else None
-            record = AnnotationRecord(
-                triple=triple, scores=scores, comment=row.get("comment", "")
-            )
-            record.validate()
-            records.append(record)
+    for row in csv.DictReader(io.StringIO(read_text(path, "annotation sheet"))):
+        triple = Triple(
+            subject=row["subject"],
+            predicate=row["predicate"],
+            object=row["object"],
+            doc_id=row.get("doc_id", ""),
+            article_id=row.get("article_id", ""),
+            chunk_index=int(row.get("chunk_index") or 0),
+            variant=PromptVariant.from_name(row["variant"]),
+        )
+        scores: dict[str, int | None] = {}
+        for name in ANNOTATION_METRICS:
+            raw = (row.get(name) or "").strip()
+            scores[name] = int(raw) if raw else None
+        record = AnnotationRecord(
+            triple=triple, scores=scores, comment=row.get("comment", "")
+        )
+        record.validate()
+        records.append(record)
     return records

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from .artifacts import read_text
 from .errors import GoldValidationError
 from .extraction import normalize_field
 
@@ -59,7 +60,7 @@ def load_gold(path: str | Path) -> GoldSet:
     source = Path(path)
     if not source.is_file():
         raise GoldValidationError(f"gold file not found: {source}")
-    text = source.read_text(encoding="utf-8")
+    text = read_text(source, "gold file")
     annotator = ""
     data_lines: list[tuple[int, str]] = []
     for number, line in enumerate(text.splitlines(), start=1):

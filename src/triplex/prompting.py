@@ -12,12 +12,12 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .artifacts import from_json, read_json, read_text
 from .defaults import default_examples_path, default_prompt_dir
 from .errors import BankValidationError, ConfigurationError
 
@@ -80,15 +80,15 @@ class NegativeExample:
     """A triple the model must not produce, with the reason it is wrong."""
 
     triple: tuple[str, str, str]
-    reason: str
+    reason: str = ""
 
 
 @dataclass(frozen=True)
 class ExampleBank:
     """All prompt ingredients that are data rather than template text."""
 
-    ner_definition: str
-    positive_examples: tuple[PositiveExample, ...]
+    ner_definition: str = ""
+    positive_examples: tuple[PositiveExample, ...] = ()
     negative_examples: tuple[NegativeExample, ...] = ()
     negated_instructions: tuple[str, ...] = ()
     focus_verbs: tuple[str, ...] = DEFAULT_FOCUS_VERBS
@@ -114,32 +114,7 @@ class RenderedPrompt:
 
 def load_example_bank(path: str | Path) -> ExampleBank:
     """Load an example bank from JSON. See ``triplex/data/examples.json``."""
-    source = Path(path)
-    if not source.is_file():
-        raise ConfigurationError(f"example bank not found: {source}")
-    try:
-        raw = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"example bank {source} is not valid JSON: {exc}") from None
-    try:
-        return ExampleBank(
-            ner_definition=raw.get("ner_definition", ""),
-            positive_examples=tuple(
-                PositiveExample(
-                    snippet=ex["snippet"],
-                    triples=tuple((s, p, o) for s, p, o in ex["triples"]),
-                )
-                for ex in raw.get("positive_examples", ())
-            ),
-            negative_examples=tuple(
-                NegativeExample(triple=tuple(ex["triple"]), reason=ex.get("reason", ""))
-                for ex in raw.get("negative_examples", ())
-            ),
-            negated_instructions=tuple(raw.get("negated_instructions", ())),
-            focus_verbs=tuple(raw.get("focus_verbs", DEFAULT_FOCUS_VERBS)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"example bank {source} is malformed: {exc}") from None
+    return read_json(path, "example bank", functools.partial(from_json, ExampleBank))
 
 
 def default_example_bank() -> ExampleBank:
@@ -170,14 +145,9 @@ class PromptTemplates:
     @classmethod
     def from_dir(cls, directory: str | Path) -> "PromptTemplates":
         base = Path(directory)
-        if not base.is_dir():
-            raise ConfigurationError(f"prompt template directory not found: {base}")
         texts = {}
         for variant in PromptVariant:
-            path = base / f"{variant.value}.txt"
-            if not path.is_file():
-                raise ConfigurationError(f"prompt template not found: {path}")
-            texts[variant] = path.read_text(encoding="utf-8")
+            texts[variant] = read_text(base / f"{variant.value}.txt", "prompt template")
         return cls(texts)
 
     @classmethod

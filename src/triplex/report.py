@@ -296,7 +296,6 @@ def write_report_bundle(
     distributions: Mapping[str, PredicateDistribution],
     heatmap_spec: HeatmapSpec,
     frequency_top_k: int,
-    extra: Mapping | None = None,
 ) -> list[Path]:
     """Write metrics.csv/.txt, per-variant frequency charts, heatmap.svg, report.json."""
     out = Path(out_dir)
@@ -334,7 +333,5 @@ def write_report_bundle(
         },
         "files": sorted(files) + ["report.json"],
     }
-    if extra:
-        bundle.update(extra)
     write_json(out / "report.json", bundle)
     return [out / name for name in [*files, "report.json"]]

@@ -56,7 +56,8 @@ def test_failed_replace_keeps_the_old_artifact_and_leaves_no_temp_file(
     path = tmp_path / "artifact"
     path.write_bytes(b"old bytes")
     monkeypatch.setattr(artifacts.os, "replace", _fail_replace)
-    with pytest.raises(OSError, match="disk full"):
+    message = f"^cannot write {re.escape(str(path))}: disk full$"
+    with pytest.raises(ConfigurationError, match=message):
         write(path)
     assert path.read_bytes() == b"old bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
@@ -68,8 +69,7 @@ def test_failed_replace_during_ingest_keeps_the_cache(config_file, monkeypatch):
     out = Path(json.loads(config.read_text(encoding="utf-8"))["output_dir"])
     before = (out / "corpus.jsonl").read_bytes()
     monkeypatch.setattr(os, "replace", _fail_replace)
-    with pytest.raises(OSError):
-        main(["ingest", "--config", str(config)])
+    assert main(["ingest", "--config", str(config)]) == 2
     assert (out / "corpus.jsonl").read_bytes() == before
     assert list(out.rglob("*.tmp")) == []
 

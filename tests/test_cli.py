@@ -128,6 +128,121 @@ def test_gold_file_with_only_a_header_is_fatal(config_file, tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+def fatal_error_line(stderr: str) -> str:
+    """The one ``error:`` line of a fatal exit, which must carry no traceback."""
+    assert "Traceback" not in stderr
+    (line,) = [line for line in stderr.splitlines() if line.startswith("error:")]
+    return line
+
+
+BUNDLED = Path(triplex.__file__).parent / "data"
+NOT_UTF8 = "Zürich\n".encode("latin-1")
+
+
+def _bad_config(config_file, tmp_path):
+    config = config_file()
+    config.write_bytes(NOT_UTF8)
+    return config, config, ["ingest"]
+
+
+def _bad_stopwords(config_file, tmp_path):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_bytes(NOT_UTF8)
+    return config_file(corpus={"stopwords_file": str(stopwords)}), stopwords, ["ingest"]
+
+
+def _bad_template(config_file, tmp_path):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    for template in (BUNDLED / "prompts").glob("*.txt"):
+        (prompts / template.name).write_bytes(template.read_bytes())
+    (prompts / "few-shot.txt").write_bytes(NOT_UTF8)
+    config = config_file(prompts={"template_dir": str(prompts)})
+    return config, prompts / "few-shot.txt", ["extract", "--variant", "zero-shot"]
+
+
+def _bad_bank(config_file, tmp_path):
+    bank = tmp_path / "bank.json"
+    bank.write_bytes(NOT_UTF8)
+    config = config_file(prompts={"examples_file": str(bank)})
+    return config, bank, ["extract", "--variant", "zero-shot"]
+
+
+def _bad_gold(config_file, tmp_path):
+    gold = tmp_path / "gold.csv"
+    gold.write_bytes(b"subject,predicate,object\n" + NOT_UTF8)
+    return config_file(eval={"gold_path": str(gold)}), gold, ["eval"]
+
+
+@pytest.mark.parametrize(
+    "setup", [_bad_config, _bad_stopwords, _bad_template, _bad_bank, _bad_gold],
+    ids=["config", "stopwords", "template", "bank", "gold"],
+)
+def test_non_utf8_input_file_is_fatal_and_named(config_file, tmp_path, capsys, setup):
+    config, bad_file, command = setup(config_file, tmp_path)
+    if command[0] != "ingest":
+        assert main(["ingest", "--config", str(config)]) == 0
+    if command[0] == "eval":
+        assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    capsys.readouterr()
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    line = fatal_error_line(capsys.readouterr().err)
+    assert line.startswith("error: corrupt ")
+    assert f" {bad_file}: 'utf-8' codec can't decode" in line
+
+
+def _bundled_bank() -> dict:
+    return json.loads((BUNDLED / "examples.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda bank: [bank], "the top level must be an object, got [{"),
+        (
+            lambda bank: {**bank, "negated_instructions": "Do not guess."},
+            'negated_instructions must be a list of strings, got "Do not guess."',
+        ),
+        (
+            lambda bank: {
+                **bank,
+                "negative_examples": [{"triple": ["The Parties", "signed"], "reason": "vague"}],
+            },
+            'negative_examples[0].triple must be a list of 3 strings, got ["The Parties", ',
+        ),
+        (
+            lambda bank: {**bank, "focus_verb": ["sign"]},
+            "unknown config key focus_verb; valid keys: focus_verbs, ",
+        ),
+        (
+            lambda bank: {**bank, "positive_examples": [{"snippet": "x", "triples": "a, b, c"}]},
+            'positive_examples[0].triples must be a list of lists of 3 strings, got "a, b, c"',
+        ),
+    ],
+    ids=["a list", "string instructions", "two-field triple", "unknown key", "string triples"],
+)
+def test_malformed_example_bank_is_fatal_and_named(config_file, tmp_path, capsys, edit, message):
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(edit(_bundled_bank())), encoding="utf-8")
+    config = config_file(prompts={"examples_file": str(bank)})
+    assert main(["ingest", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 2
+    line = fatal_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: corrupt example bank {bank}: ")
+    assert message in line
+
+
+def test_unwritable_output_dir_is_fatal(config_file, tmp_path, capsys):
+    occupied = tmp_path / "a-file"
+    occupied.write_text("not a directory", encoding="utf-8")
+    config = config_file(output_dir=str(occupied))
+    assert main(["ingest", "--config", str(config)]) == 2
+    line = fatal_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: cannot write {occupied / 'corpus.jsonl'}: ")
+    assert occupied.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_truncated_corpus_cache_is_fatal_and_names_file_and_line(config_file, capsys):
     config = config_file()
     assert main(["ingest", "--config", str(config)]) == 0

@@ -41,6 +41,13 @@ def test_minimal_config_loads_to_the_dataclass_defaults(tmp_path, corpus_dir):
     assert config.corpus_limit is None
 
 
+def test_byte_order_mark_is_ignored(tmp_path, corpus_dir):
+    path = write(tmp_path, {"corpus": {"source_dir": str(corpus_dir)}, "eval": {"seed": 7}})
+    plain = load_config(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_config(path) == plain
+
+
 def test_every_settings_key_is_read(tmp_path, corpus_dir):
     config = load_config(
         write(

@@ -32,6 +32,13 @@ def test_bundled_sample_loads_with_one_hundred_rows():
     assert len(set(gold.triples)) == 100
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    body = "# annotator: Ana\nsubject,predicate,object\nJapan,signed,the Protocol\n"
+    plain = load_gold(write_gold(tmp_path, body, "plain.csv"))
+    assert plain.annotator == "Ana"
+    assert load_gold(write_gold(tmp_path, "\ufeff" + body, "bom.csv")) == plain
+
+
 def test_entities_union_subjects_and_objects(tmp_path):
     path = write_gold(
         tmp_path,

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import triplex
 from triplex import corpus, errors, evaluation, extraction, gold, llmclient, prompting, report
 
@@ -58,3 +60,15 @@ def test_readme_library_example_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("Metrics(")
+
+
+@pytest.mark.parametrize("demo", ["prompt_gallery.py", "pipeline_walkthrough.py"])
+def test_demo_runs(demo, tmp_path):
+    # the walkthrough writes its charts into a mkdtemp directory it keeps
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(triplex.__file__).parent.parent), TMPDIR=str(tmp_path)
+    )
+    result = subprocess.run(
+        [sys.executable, str(REPO / "demos" / demo)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

@@ -256,15 +256,6 @@ def test_write_report_bundle_skips_empty_distributions(tmp_path):
     assert "freq_one-shot.svg" not in {p.name for p in written}
 
 
-def test_write_report_bundle_merges_extra_metadata(tmp_path):
-    table, distributions, spec = _bundle_inputs()
-    write_report_bundle(
-        tmp_path / "report", table, distributions, spec, 20, extra={"seed": 42}
-    )
-    report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
-    assert report["seed"] == 42
-
-
 def test_write_report_bundle_is_byte_deterministic(tmp_path):
     table, distributions, spec = _bundle_inputs()
     first = write_report_bundle(tmp_path / "a", table, distributions, spec, frequency_top_k=20)
