@@ -73,6 +73,11 @@ def read_text(path: str | Path, kind: str) -> str:
         raise ConfigurationError(f"corrupt {kind} {source}: {exc}") from None
 
 
+def _reason(exc: Exception) -> str:
+    """Why a record is corrupt: our own message as is, other errors with their class."""
+    return str(exc) if isinstance(exc, ConfigurationError) else repr(exc)
+
+
 def read_json(path: str | Path, kind: str, build: Callable[[Any], T]) -> T:
     """Parse one JSON document and return ``build`` of it."""
     source = Path(path)
@@ -80,7 +85,7 @@ def read_json(path: str | Path, kind: str, build: Callable[[Any], T]) -> T:
     try:
         return build(json.loads(text))
     except _CORRUPT as exc:
-        raise ConfigurationError(f"corrupt {kind} {source}: {exc!r}") from None
+        raise ConfigurationError(f"corrupt {kind} {source}: {_reason(exc)}") from None
 
 
 def read_jsonl(path: str | Path, kind: str, build: Callable[[Any], T]) -> list[T]:
@@ -94,7 +99,7 @@ def read_jsonl(path: str | Path, kind: str, build: Callable[[Any], T]) -> list[T
             out.append(build(json.loads(line)))
         except _CORRUPT as exc:
             raise ConfigurationError(
-                f"corrupt {kind} {source}, line {lineno}: {exc!r}"
+                f"corrupt {kind} {source}, line {lineno}: {_reason(exc)}"
             ) from None
     return out
 
@@ -156,7 +161,8 @@ def from_json(cls: type[T], obj: object, key: str = "", paths: tuple[str, ...] =
     ``paths`` are keys of ``obj`` that the caller reads itself, and ``fixed``
     the fields it built from them. Every other key must name a field of
     ``cls`` and hold a value of its type; an absent key takes the field's
-    default, and ``cls.__post_init__`` checks the ranges.
+    default, or is an error if the field has none, and ``cls.__post_init__``
+    checks the ranges.
     """
     if type(obj) is not dict:
         where = key or "the top level"
@@ -169,6 +175,10 @@ def from_json(cls: type[T], obj: object, key: str = "", paths: tuple[str, ...] =
         for name, value in obj.items()
         if name not in paths
     }
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.init and f.name not in values and f.name not in fixed:
+            raise ConfigurationError(f"{prefix}{f.name} is required")
     try:
         return cls(**fixed, **values)
     except ConfigurationError as exc:

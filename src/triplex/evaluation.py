@@ -10,9 +10,9 @@ Three match modes share one one-to-one matching machinery:
 Pairs can be selected greedily or optimally (maximum pair count, then
 maximum total score). Greedy takes the highest score first. In the exact and
 partial modes every eligible pair scores 1.0, so that rule sets no order and
-greedy returns a maximum matching, the same one as optimal. In semantic mode
-greedy walks the scores in descending order, ties broken by lower predicted
-index then lower gold index.
+both policies return a maximum matching, found by augmenting paths. In
+semantic mode greedy walks the scores in descending order, ties broken by
+lower predicted index then lower gold index.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .artifacts import read_text, write_text
 from .errors import ConfigurationError
@@ -199,11 +198,64 @@ def _greedy_assignment(
     return pairs
 
 
+def _maximum_matching(
+    edges: list[tuple[int, int, float]], n_predicted: int
+) -> list[tuple[int, int, float]]:
+    """A maximum-cardinality matching of unit-weight edges, by predicted index.
+
+    A greedy pass, then phases of augmenting-path search (Kuhn) until a phase
+    finds none. The search keeps its own stack, so a long path cannot reach
+    the recursion limit.
+    """
+    adjacent: list[list[int]] = [[] for _ in range(n_predicted)]
+    for pi, gi, _ in edges:
+        adjacent[pi].append(gi)
+    roots = [pi for pi, golds in enumerate(adjacent) if golds]
+    mate: list[int | None] = [None] * n_predicted
+    owner: dict[int, int] = {}  # gold index -> its matched predicted index
+    for pi in roots:
+        gi = next((g for g in adjacent[pi] if g not in owner), None)
+        if gi is not None:
+            mate[pi], owner[gi] = gi, pi
+    golds_with_edges = len({gi for _, gi, _ in edges})
+    augmented = True
+    while augmented:
+        augmented = False
+        # shared by the phase's searches; a phase with no augmentation proves maximality
+        visited: set[int] = set()
+        for root in roots:
+            if len(owner) == golds_with_edges:
+                break
+            if mate[root] is not None:
+                continue
+            stack = [(root, iter(adjacent[root]))]
+            taken: list[int] = []  # taken[i] is the gold vertex stack[i] went through
+            while stack:
+                gi = next((g for g in stack[-1][1] if g not in visited), None)
+                if gi is None:
+                    stack.pop()
+                    if taken:
+                        taken.pop()  # the gold vertex that led to the popped one
+                    continue
+                visited.add(gi)
+                taken.append(gi)
+                if gi in owner:
+                    stack.append((owner[gi], iter(adjacent[owner[gi]])))
+                    continue
+                for (pi, _), g in zip(stack, taken):
+                    mate[pi], owner[g] = g, pi
+                augmented = True
+                break
+    return [(pi, gi, 1.0) for pi, gi in enumerate(mate) if gi is not None]
+
+
 def _optimal_assignment(
     edges: list[tuple[int, int, float]], n_predicted: int, n_gold: int
 ) -> list[tuple[int, int, float]]:
     if not edges:
         return []
+    from scipy.optimize import linear_sum_assignment  # only semantic optimal needs it
+
     # a constant boost per matched pair makes cardinality dominate total score
     boost = float(min(n_predicted, n_gold)) + 1.0
     weights = np.zeros((n_predicted, n_gold), dtype=np.float64)
@@ -229,11 +281,13 @@ def match(
 ) -> MatchResult:
     """Pair predicted triples with gold triples one-to-one."""
     edges = _eligible_edges(predicted, gold, config, embedder)
-    if config.mode is MatchMode.SEMANTIC and config.assignment is AssignmentPolicy.GREEDY:
-        pairs = _greedy_assignment(edges)
-    else:
+    if config.mode is not MatchMode.SEMANTIC:
         # unit scores leave greedy's order to the tie-break; a maximum
         # matching is what highest-score-first returns for some order of ties
+        pairs = _maximum_matching(edges, len(predicted))
+    elif config.assignment is AssignmentPolicy.GREEDY:
+        pairs = _greedy_assignment(edges)
+    else:
         pairs = _optimal_assignment(edges, len(predicted), len(gold))
     matched_predicted = {pi for pi, _, _ in pairs}
     matched_gold = {gi for _, gi, _ in pairs}

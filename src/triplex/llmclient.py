@@ -9,6 +9,8 @@ seed, which makes every pipeline run on it reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import os
 import random
 import re
@@ -16,9 +18,9 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import ConfigurationError, TransportError
 
@@ -37,6 +39,7 @@ ENDPOINT_ENV_VAR = "TRIPLEX_ENDPOINT"
 
 _TRIGRAM_SALT = b"triplex-mock-embed-v1:"
 _BACKOFF_BASE_S = 0.25
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 class _Wire(NamedTuple):
@@ -306,46 +309,105 @@ class MockTransport:
 
 
 class HttpTransport:
-    """JSON-over-HTTP transport with retries and exponential backoff."""
+    """JSON-over-HTTP transport with retries and exponential backoff.
 
-    def __init__(
-        self,
-        config: EndpointConfig,
-        session: requests.Session | None = None,
-        sleeper=time.sleep,
-    ) -> None:
+    Each thread keeps one keep-alive connection to the endpoint. A 3xx or 4xx
+    reply is fatal; a connection error, a timeout, a 5xx or a reply that is
+    not JSON is retried.
+    """
+
+    def __init__(self, config: EndpointConfig, sleeper=time.sleep) -> None:
         self.config = config
-        self.session = session or requests.Session()
         self._sleep = sleeper
         self._wire = _WIRES[config.profile]
         base_url = (os.environ.get(ENDPOINT_ENV_VAR) or config.base_url).rstrip("/")
-        self._chat_url = base_url + (config.chat_path or self._wire.chat_path)
-        self._embeddings_url = base_url + (config.embeddings_path or self._wire.embeddings_path)
+        scheme, self._netloc, prefix = urlsplit(base_url)[:3]
+        if scheme not in ("http", "https") or not self._netloc:
+            raise ConfigurationError(
+                f"endpoint URL must start with http:// or https:// and name a host, "
+                f"got {base_url!r}"
+            )
+        self._origin = f"{scheme}://{self._netloc}"
+        self._connection_class = (
+            http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        )
+        # one keep-alive connection per thread, held here so close() reaches them all
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._connections_lock = threading.Lock()
+        self._chat_target = prefix + (config.chat_path or self._wire.chat_path)
+        self._embeddings_target = prefix + (config.embeddings_path or self._wire.embeddings_path)
 
-    def _request(self, url: str, payload: dict) -> dict:
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; opening one closes those of finished threads."""
+        thread = threading.current_thread()
+        connection = self._connections.get(thread)
+        if connection is None:
+            connection = self._connection_class(
+                self._netloc, timeout=self.config.timeout_ms / 1000.0
+            )
+            with self._connections_lock:
+                for finished in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(finished).close()
+                self._connections[thread] = connection
+        return connection
+
+    def close(self) -> None:
+        """Close every thread's connection; call it with no request in flight."""
+        with self._connections_lock:
+            for connection in self._connections.values():
+                connection.close()
+
+    def _post(self, target: str, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on this thread's connection; return the status and reply bytes."""
+        connection = self._connection()
+        idle = connection.sock is not None  # kept alive since an earlier request
+        try:
+            return self._exchange(connection, target, body)
+        except ConnectionError:
+            if not idle:
+                raise
+        # the server closed the idle connection: send once more on a fresh one
+        return self._exchange(connection, target, body)
+
+    @staticmethod
+    def _exchange(
+        connection: http.client.HTTPConnection, target: str, body: bytes
+    ) -> tuple[int, bytes]:
+        try:
+            connection.request("POST", target, body, _JSON_HEADERS)
+            response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            connection.close()  # its state is unknown; the next request opens a fresh one
+            raise
+
+    def _request(self, target: str, payload: dict) -> object:
+        url = self._origin + target
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 self._sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
-                response = self.session.post(
-                    url, json=payload, timeout=self.config.timeout_ms / 1000.0
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                status, data = self._post(target, body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if 400 <= response.status_code < 500:
+            if 300 <= status < 400:
                 raise ConfigurationError(
-                    f"endpoint rejected request ({response.status_code}): "
-                    f"{response.text[:200]}"
+                    f"endpoint redirected request ({status}) for {url}; redirects are not "
+                    "followed, so set base_url to the final address"
                 )
-            if response.status_code >= 500:
-                last_error = TransportError(
-                    f"server error {response.status_code} from {url}"
+            if 400 <= status < 500:
+                raise ConfigurationError(
+                    f"endpoint rejected request ({status}): "
+                    f"{data.decode('utf-8', 'replace')[:200]}"
                 )
+            if status >= 500:
+                last_error = TransportError(f"server error {status} from {url}")
                 continue
             try:
-                return response.json()
+                return json.loads(data)
             except ValueError as exc:
                 last_error = TransportError(f"non-JSON response from {url}: {exc}")
                 continue
@@ -354,9 +416,9 @@ class HttpTransport:
             f"{last_error}"
         )
 
-    def _reply(self, kind: str, url: str, payload: dict, location: tuple) -> object:
+    def _reply(self, kind: str, target: str, payload: dict, location: tuple) -> object:
         """POST ``payload`` and return the value at ``location`` in the JSON reply."""
-        data = self._request(url, payload)
+        data = self._request(target, payload)
         try:
             value = data
             for key in location:
@@ -375,11 +437,13 @@ class HttpTransport:
             "messages": [{"role": "user", "content": prompt_text}],
             **self._wire.chat_fields(decoding),
         }
-        return self._reply("chat", self._chat_url, payload, self._wire.chat_reply)
+        return self._reply("chat", self._chat_target, payload, self._wire.chat_reply)
 
     def embed_one(self, text: str) -> Sequence[float]:
         payload = {"model": self.config.embedding_model, **self._wire.embed_fields(text)}
-        return self._reply("embedding", self._embeddings_url, payload, self._wire.embedding_reply)
+        return self._reply(
+            "embedding", self._embeddings_target, payload, self._wire.embedding_reply
+        )
 
 
 class LlmClient:

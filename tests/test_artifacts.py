@@ -103,6 +103,24 @@ def test_read_jsonl_names_kind_file_and_line(tmp_path, line):
         read_jsonl(path, "thing", build)
 
 
+def test_reader_gives_a_configuration_error_by_its_message_and_others_by_class(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"n": "x"}\n{"m": 1}\n', encoding="utf-8")
+
+    def build(record):
+        if record.get("n") == "x":
+            raise ConfigurationError("n must be an integer, got \"x\"")
+        return record["n"]
+
+    with pytest.raises(ConfigurationError) as excinfo:
+        read_jsonl(path, "thing", build)
+    assert str(excinfo.value) == f'corrupt thing {path}, line 1: n must be an integer, got "x"'
+    path.write_text('{"m": 1}\n', encoding="utf-8")
+    with pytest.raises(ConfigurationError) as excinfo:
+        read_jsonl(path, "thing", build)
+    assert str(excinfo.value) == f"corrupt thing {path}, line 1: KeyError('n')"
+
+
 def test_read_json_names_kind_and_file(tmp_path):
     path = tmp_path / "a.json"
     path.write_text('{"a": ', encoding="utf-8")

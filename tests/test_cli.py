@@ -218,8 +218,21 @@ def _bundled_bank() -> dict:
             lambda bank: {**bank, "positive_examples": [{"snippet": "x", "triples": "a, b, c"}]},
             'positive_examples[0].triples must be a list of lists of 3 strings, got "a, b, c"',
         ),
+        (
+            lambda bank: {
+                **bank,
+                "positive_examples": [
+                    {k: v for k, v in example.items() if (i, k) != (1, "snippet")}
+                    for i, example in enumerate(bank["positive_examples"])
+                ],
+            },
+            "positive_examples[1].snippet is required",
+        ),
     ],
-    ids=["a list", "string instructions", "two-field triple", "unknown key", "string triples"],
+    ids=[
+        "a list", "string instructions", "two-field triple", "unknown key", "string triples",
+        "missing snippet",
+    ],
 )
 def test_malformed_example_bank_is_fatal_and_named(config_file, tmp_path, capsys, edit, message):
     bank = tmp_path / "bank.json"
@@ -229,8 +242,7 @@ def test_malformed_example_bank_is_fatal_and_named(config_file, tmp_path, capsys
     capsys.readouterr()
     assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 2
     line = fatal_error_line(capsys.readouterr().err)
-    assert line.startswith(f"error: corrupt example bank {bank}: ")
-    assert message in line
+    assert line.startswith(f"error: corrupt example bank {bank}: {message}")
 
 
 def test_unwritable_output_dir_is_fatal(config_file, tmp_path, capsys):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from triplex.errors import ConfigurationError
 from triplex.evaluation import (
@@ -15,6 +19,7 @@ from triplex.evaluation import (
     MatchMode,
     MatchResult,
     _eligible_edges,
+    _maximum_matching,
     coverage_score,
     distribution_divergence,
     f1_score,
@@ -248,6 +253,41 @@ def test_greedy_equals_oracle_under_exact(mock_client):
         edges = eligible_edges_oracle(predicted, gold, MatchMode.EXACT)
         best_count, _ = best_assignment_oracle(edges, len(predicted))
         assert len(result.pairs) == best_count
+
+
+@st.composite
+def unit_weight_graphs(draw):
+    """A bipartite graph as ``(edges, n_predicted, n_gold)``, edges in any order."""
+    n_predicted = draw(st.integers(0, 12))
+    n_gold = draw(st.integers(0, 12))
+    cells = [(pi, gi) for pi in range(n_predicted) for gi in range(n_gold)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+    return [(pi, gi, 1.0) for pi, gi in chosen], n_predicted, n_gold
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_weight_graphs())
+def test_maximum_matching_has_the_cardinality_of_linear_sum_assignment(graph):
+    edges, n_predicted, n_gold = graph
+    pairs = _maximum_matching(edges, n_predicted)
+    eligible = np.zeros((n_predicted, n_gold))
+    for pi, gi, _ in edges:
+        eligible[pi, gi] = 1.0
+    rows, cols = linear_sum_assignment(eligible, maximize=True)
+    assert len(pairs) == int(eligible[rows, cols].sum())
+    assert {(pi, gi) for pi, gi, _ in pairs} <= {(pi, gi) for pi, gi, _ in edges}
+    assert len({pi for pi, _, _ in pairs}) == len({gi for _, gi, _ in pairs}) == len(pairs)
+    assert all(score == 1.0 for _, _, score in pairs)
+
+
+def test_maximum_matching_follows_a_long_augmenting_chain():
+    # greedy pairs predicted i with gold i, leaving predicted n only gold 0:
+    # the one augmenting path runs through every vertex, n levels deep
+    n = 10_000
+    edges = [(pi, gi, 1.0) for pi in range(n) for gi in (pi, pi + 1)] + [(n, 0, 1.0)]
+    assert len(edges) >= 20_000
+    pairs = _maximum_matching(edges, n + 1)
+    assert pairs == [(pi, pi + 1, 1.0) for pi in range(n)] + [(n, 0, 1.0)]
 
 
 def test_match_result_rejects_double_booking():

@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-import requests
 
 from triplex.errors import ConfigurationError, TransportError
 from triplex.extraction import parse_triples
@@ -164,130 +167,227 @@ def test_client_embed_fetches_each_text_once():
 
 
 # ---------------------------------------------------------------------------
-# HTTP transport
+# HTTP transport, against a scripted local server
 # ---------------------------------------------------------------------------
 
-_NOT_JSON = object()
+DROP = object()  # outcome: close the connection without replying
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (json.dumps(payload) if payload not in (None, _NOT_JSON) else "")
+@dataclass
+class Reply:
+    """One scripted answer; a body that is not bytes is sent as JSON."""
 
-    def json(self):
-        if self._payload is _NOT_JSON:
-            raise ValueError("response body is not JSON")
-        return self._payload
+    status: int = 200
+    body: object = None
+    delay_s: float = 0.0
+    headers: dict = field(default_factory=dict)
+    close_after: bool = False  # close the connection afterwards without saying so
 
 
-class FakeSession:
-    """Scripted session: each call pops the next response or exception."""
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
 
-    def __init__(self, outcomes):
+    def setup(self) -> None:
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.requests.append(
+                {"url": f"http://{self.headers['Host']}{self.path}", "body": body}
+            )
+            outcome = self.server.outcomes.pop(0)
+        if outcome is DROP:
+            self.close_connection = True
+            return
+        time.sleep(outcome.delay_s)
+        data = outcome.body
+        if not isinstance(data, bytes):
+            data = json.dumps(data).encode()
+        self.send_response(outcome.status)
+        for name, value in outcome.headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = outcome.close_after
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+class ScriptedEndpoint(ThreadingHTTPServer):
+    """Answers each POST with the next scripted outcome; records requests and connections."""
+
+    daemon_threads = True
+
+    def __init__(self, outcomes) -> None:
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
         self.outcomes = list(outcomes)
-        self.calls: list[dict] = []
+        self.requests: list[dict] = []
+        self.transports: list[HttpTransport] = []  # closed when the test ends
+        self.connections = 0
+        self.errors: list[BaseException] = []  # raised while handling, checked at teardown
+        self.lock = threading.Lock()
+        self.closed = threading.Semaphore(0)  # released once per closed connection
 
-    def post(self, url, json=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def handle_error(self, request, client_address) -> None:
+        # a reply to a client that timed out meets a closed socket; anything else is a fault
+        error = sys.exc_info()[1]
+        if not isinstance(error, ConnectionError):
+            self.errors.append(error)
 
 
-def _transport(session, **config_overrides):
-    config = EndpointConfig(**{"max_retries": 3, **config_overrides})
+@pytest.fixture()
+def serve(monkeypatch):
+    """Start a scripted endpoint with the given outcomes."""
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    servers: list[ScriptedEndpoint] = []
+
+    def start(*outcomes) -> ScriptedEndpoint:
+        server = ScriptedEndpoint(outcomes)
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        for transport in server.transports:
+            transport.close()
+        server.shutdown()
+        server.server_close()
+        assert server.errors == []
+
+
+def _transport(server, **config_overrides):
+    config = EndpointConfig(**{"base_url": server.url, "max_retries": 3, **config_overrides})
     sleeps: list[float] = []
-    transport = HttpTransport(config, session=session, sleeper=sleeps.append)
+    transport = HttpTransport(config, sleeper=sleeps.append)
+    server.transports.append(transport)
     return transport, sleeps
 
 
-def test_http_chat_recovers_after_server_errors():
-    session = FakeSession(
-        [
-            FakeResponse(500),
-            FakeResponse(502),
-            FakeResponse(200, {"message": {"content": "(A | b | C)"}}),
-        ]
-    )
-    transport, sleeps = _transport(session)
+def _payload(request: dict) -> dict:
+    return json.loads(request["body"])
+
+
+def test_http_chat_recovers_after_server_errors(serve):
+    server = serve(Reply(500), Reply(502), Reply(200, {"message": {"content": "(A | b | C)"}}))
+    transport, sleeps = _transport(server)
     assert transport.chat("hello") == "(A | b | C)"
-    assert len(session.calls) == 3
+    assert len(server.requests) == 3
     assert sleeps == [0.25, 0.5]  # exponential backoff between attempts
 
 
-def test_http_chat_client_error_is_fatal_and_not_retried():
-    session = FakeSession([FakeResponse(404, text="no such model")])
-    transport, sleeps = _transport(session)
+def test_http_chat_client_error_is_fatal_and_not_retried(serve):
+    server = serve(Reply(404, b"no such model"))
+    transport, sleeps = _transport(server)
     with pytest.raises(ConfigurationError) as excinfo:
         transport.chat("hello")
     assert "404" in str(excinfo.value)
-    assert len(session.calls) == 1
+    assert "no such model" in str(excinfo.value)
+    assert len(server.requests) == 1
     assert sleeps == []
 
 
-def test_http_chat_exhausted_retries_raise_transport_error():
-    session = FakeSession([FakeResponse(500)] * 2)
-    transport, _ = _transport(session, max_retries=1)
+@pytest.mark.parametrize("status", [301, 302, 307, 308])
+def test_http_redirect_is_fatal_and_not_followed(serve, status):
+    server = serve(Reply(status, b"", headers={"Location": "http://127.0.0.1:1/elsewhere"}))
+    transport, sleeps = _transport(server)
+    with pytest.raises(ConfigurationError) as excinfo:
+        transport.chat("hello")
+    assert f"({status})" in str(excinfo.value)
+    assert len(server.requests) == 1
+    assert sleeps == []
+
+
+def test_http_chat_exhausted_retries_raise_transport_error(serve):
+    server = serve(Reply(500), Reply(500))
+    transport, _ = _transport(server, max_retries=1)
     with pytest.raises(TransportError) as excinfo:
         transport.chat("hello")
     assert "2 attempts" in str(excinfo.value)
-    assert len(session.calls) == 2
+    assert len(server.requests) == 2
 
 
-def test_http_chat_retries_connection_errors_and_bad_json():
-    session = FakeSession(
-        [
-            requests.ConnectionError("refused"),
-            FakeResponse(200, _NOT_JSON),
-            FakeResponse(200, {"message": {"content": "ok"}}),
-        ]
+def test_http_chat_retries_connection_errors_and_bad_json(serve):
+    server = serve(
+        DROP, Reply(200, b"<html>not json</html>"), Reply(200, {"message": {"content": "ok"}})
     )
-    transport, _ = _transport(session)
+    transport, sleeps = _transport(server)
     assert transport.chat("hello") == "ok"
-    assert len(session.calls) == 3
+    assert len(server.requests) == 3
+    assert sleeps == [0.25, 0.5]
 
 
-def test_http_ollama_request_shape():
-    session = FakeSession([FakeResponse(200, {"message": {"content": "ok"}})])
-    transport, _ = _transport(session, seed=42, temperature=0.0, max_tokens=2048)
+def test_http_refused_connection_is_retried_then_fatal(serve):
+    server = serve()
+    url = server.url
+    server.shutdown()
+    server.server_close()  # nothing listens on the port any more
+    transport = HttpTransport(EndpointConfig(base_url=url, max_retries=2), sleeper=lambda _: None)
+    with pytest.raises(TransportError, match="failed after 3 attempts"):
+        transport.chat("hello")
+    transport.close()
+
+
+def test_http_slow_reply_times_out_and_is_retried(serve):
+    server = serve(
+        Reply(200, {"message": {"content": "late"}}, delay_s=0.5),
+        Reply(200, {"message": {"content": "ok"}}),
+    )
+    transport, sleeps = _transport(server, timeout_ms=100)
+    assert transport.chat("hello") == "ok"
+    assert len(server.requests) == 2
+    assert sleeps == [0.25]
+
+
+def test_http_ollama_request_shape(serve):
+    server = serve(Reply(200, {"message": {"content": "ok"}}))
+    transport, _ = _transport(server, seed=42, temperature=0.0, max_tokens=2048)
     transport.chat("prompt body")
-    call = session.calls[0]
-    assert call["url"].endswith("/api/chat")
-    payload = call["json"]
+    (request,) = server.requests
+    assert request["url"].endswith("/api/chat")
+    payload = _payload(request)
     assert payload["stream"] is False
     assert payload["messages"] == [{"role": "user", "content": "prompt body"}]
     assert payload["options"] == {"temperature": 0.0, "num_predict": 2048, "seed": 42}
-    assert call["timeout"] == pytest.approx(120.0)
 
 
-def test_http_ollama_embeddings_shape():
-    session = FakeSession([FakeResponse(200, {"embedding": [0.0, 3.0, 4.0]})])
-    transport, _ = _transport(session)
+def test_http_ollama_embeddings_shape(serve):
+    server = serve(Reply(200, {"embedding": [0.0, 3.0, 4.0]}))
+    transport, _ = _transport(server)
     raw = transport.embed_one("import tariffs")
     assert raw == [0.0, 3.0, 4.0]
-    call = session.calls[0]
-    assert call["url"].endswith("/api/embeddings")
-    assert call["json"] == {"model": "nomic-embed-text", "prompt": "import tariffs"}
+    (request,) = server.requests
+    assert request["url"].endswith("/api/embeddings")
+    assert _payload(request) == {"model": "nomic-embed-text", "prompt": "import tariffs"}
 
 
-def test_http_openai_profile_paths_and_shapes():
-    session = FakeSession(
-        [
-            FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]}),
-            FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}]}),
-        ]
+def test_http_openai_profile_paths_and_shapes(serve):
+    server = serve(
+        Reply(200, {"choices": [{"message": {"content": "ok"}}]}),
+        Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}),
     )
-    transport, _ = _transport(session, profile="openai")
+    transport, _ = _transport(server, profile="openai")
     assert transport.chat("p") == "ok"
     assert transport.embed_one("t") == [1.0, 0.0]
-    chat_call, embed_call = session.calls
-    assert chat_call["url"].endswith("/v1/chat/completions")
-    assert chat_call["json"]["max_tokens"] == 2048
-    assert embed_call["url"].endswith("/v1/embeddings")
-    assert embed_call["json"] == {"model": "nomic-embed-text", "input": ["t"]}
+    chat_request, embed_request = server.requests
+    assert chat_request["url"].endswith("/v1/chat/completions")
+    assert _payload(chat_request)["max_tokens"] == 2048
+    assert embed_request["url"].endswith("/v1/embeddings")
+    assert _payload(embed_request) == {"model": "nomic-embed-text", "input": ["t"]}
 
 
 _PINNED_REQUESTS = [
@@ -323,26 +423,46 @@ _PINNED_REQUESTS = [
         "http://localhost:11434/v1/embeddings",
         '{"model": "nomic-embed-text", "input": ["t"]}',
     ),
+    (
+        {"base_url": "http://localhost:11434/proxy/"},
+        "http://localhost:11434/proxy/api/chat",
+        '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
+        '"stream": false, "options": {"temperature": 0.0, "num_predict": 2048, "seed": 42}}',
+        "http://localhost:11434/proxy/api/embeddings",
+        '{"model": "nomic-embed-text", "prompt": "t"}',
+    ),
 ]
+
+
+def _on(server: ScriptedEndpoint, url: str) -> str:
+    """``url`` with its scheme and host replaced by the scripted server's."""
+    scheme, host = urlsplit(url)[:2]
+    return server.url + url[len(f"{scheme}://{host}") :]
 
 
 @pytest.mark.parametrize("overrides, chat_url, chat_body, embed_url, embed_body", _PINNED_REQUESTS)
 def test_http_request_urls_and_payloads_are_pinned(
-    monkeypatch, overrides, chat_url, chat_body, embed_url, embed_body
+    serve, overrides, chat_url, chat_body, embed_url, embed_body
 ):
-    # key order included: json.dumps keeps the payload's insertion order
-    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    # the body bytes as sent, key order included; the pinned hosts stand for the server
     if overrides.get("profile") == "openai":
         replies = [{"choices": [{"message": {"content": "ok"}}]}, {"data": [{"embedding": [1.0]}]}]
     else:
         replies = [{"message": {"content": "ok"}}, {"embedding": [1.0]}]
-    session = FakeSession([FakeResponse(200, reply) for reply in replies])
-    transport, _ = _transport(session, **overrides)
+    server = serve(*(Reply(200, reply) for reply in replies))
+    base_url = _on(server, overrides.get("base_url", EndpointConfig().base_url))
+    transport, _ = _transport(server, **{**overrides, "base_url": base_url})
     assert transport.chat("p") == "ok"
     assert transport.embed_one("t") == [1.0]
-    chat_call, embed_call = session.calls
-    assert (chat_call["url"], json.dumps(chat_call["json"])) == (chat_url, chat_body)
-    assert (embed_call["url"], json.dumps(embed_call["json"])) == (embed_url, embed_body)
+    chat_request, embed_request = server.requests
+    assert (chat_request["url"], chat_request["body"].decode()) == (
+        _on(server, chat_url),
+        chat_body,
+    )
+    assert (embed_request["url"], embed_request["body"].decode()) == (
+        _on(server, embed_url),
+        embed_body,
+    )
 
 
 @pytest.mark.parametrize(
@@ -354,42 +474,101 @@ def test_http_request_urls_and_payloads_are_pinned(
         ("openai", {"choices": [{"text": "legacy"}]}),
     ],
 )
-def test_http_wrong_reply_shape_names_the_request_kind(profile, reply):
-    session = FakeSession([FakeResponse(200, reply), FakeResponse(200, reply)])
-    transport, _ = _transport(session, profile=profile, max_retries=0)
+def test_http_wrong_reply_shape_names_the_request_kind(serve, profile, reply):
+    server = serve(Reply(200, reply), Reply(200, reply))
+    transport, _ = _transport(server, profile=profile, max_retries=0)
     with pytest.raises(TransportError, match="^unexpected chat response shape: "):
         transport.chat("hello")
     with pytest.raises(TransportError, match="^unexpected embedding response shape: "):
         transport.embed_one("hello")
 
 
-def test_http_unexpected_response_shape_is_transport_error():
-    session = FakeSession([FakeResponse(200, {"unexpected": True})] * 4)
-    transport, _ = _transport(session, max_retries=0)
+def test_http_unexpected_response_shape_is_transport_error(serve):
+    server = serve(*[Reply(200, {"unexpected": True})] * 4)
+    transport, _ = _transport(server, max_retries=0)
     with pytest.raises(TransportError):
         transport.chat("hello")
+    assert len(server.requests) == 1
 
 
-def test_endpoint_env_var_overrides_base_url(monkeypatch):
-    monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://model-farm:9999")
-    session = FakeSession([FakeResponse(200, {"message": {"content": "ok"}})])
-    transport, _ = _transport(session)
-    transport.chat("hello")
-    assert session.calls[0]["url"].startswith("http://model-farm:9999")
+def test_endpoint_env_var_overrides_base_url(serve, monkeypatch):
+    server = serve(Reply(200, {"message": {"content": "ok"}}))
+    monkeypatch.setenv(ENDPOINT_ENV_VAR, server.url)
+    transport, _ = _transport(server, base_url="http://model-farm.invalid:9999")
+    assert transport.chat("hello") == "ok"
+    assert [r["url"] for r in server.requests] == [server.url + "/api/chat"]
 
 
-def test_client_normalizes_transport_embeddings():
-    session = FakeSession([FakeResponse(200, {"embedding": [0.0, 3.0, 4.0]})])
-    config = EndpointConfig()
-    client = LlmClient(config, HttpTransport(config, session=session, sleeper=lambda _: None))
+@pytest.mark.parametrize("base_url", ["localhost:11434", "ftp://models:21", "http://", "/api"])
+def test_endpoint_url_without_http_scheme_or_host_is_fatal(monkeypatch, base_url):
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    with pytest.raises(ConfigurationError, match="endpoint URL must start with http"):
+        HttpTransport(EndpointConfig(base_url=base_url))
+
+
+def test_http_keeps_one_connection_per_thread(serve):
+    threads = 8
+    server = serve(*[Reply(200, {"message": {"content": "ok"}})] * (3 + threads * 3))
+    transport, _ = _transport(server)
+    for _ in range(3):
+        transport.chat("hello")
+    assert server.connections == 1
+    start = threading.Barrier(threads)
+
+    def worker() -> None:
+        start.wait(timeout=5)
+        for _ in range(3):
+            assert transport.chat("hello") == "ok"
+
+    workers = [threading.Thread(target=worker) for _ in range(threads)]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert len(server.requests) == 3 + threads * 3
+    assert server.connections == 1 + threads
+
+
+def test_http_closes_the_connection_of_a_finished_thread(serve):
+    server = serve(*[Reply(200, {"message": {"content": "ok"}})] * 2)
+    transport, _ = _transport(server)
+    for _ in range(2):
+        thread = threading.Thread(target=transport.chat, args=("hello",))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    # the second thread's new connection closed the first thread's
+    assert server.closed.acquire(timeout=5)
+    assert server.connections == 2
+
+
+def test_http_resends_once_on_a_connection_closed_while_idle(serve):
+    server = serve(
+        Reply(200, {"message": {"content": "first"}}, close_after=True),
+        Reply(200, {"message": {"content": "second"}}),
+    )
+    transport, sleeps = _transport(server, max_retries=0)
+    assert transport.chat("hello") == "first"
+    assert server.closed.acquire(timeout=5)  # the server has closed the kept-alive socket
+    assert transport.chat("hello") == "second"  # not an attempt: max_retries=0 still succeeds
+    assert sleeps == []
+    assert server.connections == 2
+    assert len(server.requests) == 2
+
+
+def test_client_normalizes_transport_embeddings(serve):
+    server = serve(Reply(200, {"embedding": [0.0, 3.0, 4.0]}))
+    transport, _ = _transport(server)
+    client = LlmClient(transport.config, transport)
     (vector,) = client.embed(["anything"])
     assert np.allclose(vector.values, [0.0, 0.6, 0.8])
 
 
-def test_client_rejects_zero_norm_embedding():
-    session = FakeSession([FakeResponse(200, {"embedding": [0.0, 0.0]})])
-    config = EndpointConfig()
-    client = LlmClient(config, HttpTransport(config, session=session, sleeper=lambda _: None))
+def test_client_rejects_zero_norm_embedding(serve):
+    server = serve(Reply(200, {"embedding": [0.0, 0.0]}))
+    transport, _ = _transport(server)
+    client = LlmClient(transport.config, transport)
     with pytest.raises(TransportError):
         client.embed(["anything"])
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -72,3 +73,36 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(REPO / "demos" / demo)], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_imports_and_a_mock_run_load_no_scipy_or_requests(tmp_path):
+    # the README quick-start config with the default greedy assignment spelled out;
+    # certifi is left out of the check: some interpreters load it from site
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "corpus": {"source_dir": str(REPO / "demos" / "data"), "max_chunk_chars": 600},
+                "output_dir": str(tmp_path / "out"),
+                "endpoint": {"seed": 42},
+                "eval": {"seed": 42, "assignment": "greedy"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    code = f"""
+import json, sys
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests", "urllib3"))
+import triplex.cli
+after_import = heavy()
+status = triplex.cli.main(["run-all", "--config", {str(config)!r}])
+print(json.dumps({{"status": status, "after_import": after_import, "after_run": heavy()}}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(triplex.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == {"status": 0, "after_import": [], "after_run": []}
