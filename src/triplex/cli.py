@@ -189,10 +189,6 @@ def _table_results(eval_report: dict) -> dict[str, dict[str, Metrics]]:
 
 def cmd_report(config: PipelineConfig) -> int:
     runs = _load_runs(config)
-    if not config.eval_report_path.is_file():
-        raise ConfigurationError(
-            f"eval report not found: {config.eval_report_path}; run eval first"
-        )
     table_results = read_json(config.eval_report_path, "eval report", _table_results)
     distributions = {
         name: predicate_distribution(run.triples) for name, run in runs.items()
@@ -213,10 +209,7 @@ def cmd_sample(config: PipelineConfig, variant_name: str) -> int:
     if variant_name == "all":
         raise ConfigurationError("sample needs a single --variant, not 'all'")
     variant = PromptVariant.from_name(variant_name)
-    path = config.runs_dir / f"{variant.value}.jsonl"
-    if not path.is_file():
-        raise ConfigurationError(f"run file not found: {path}; run extract first")
-    run = read_run(path)
+    run = read_run(config.runs_dir / f"{variant.value}.jsonl")
     records = sample_for_annotation(run, n=config.eval.sample_size, seed=config.eval.seed)
     out_path = config.output_dir / "annotation_sample.csv"
     write_annotation_csv(records, out_path)

@@ -47,6 +47,10 @@ class EvalSettings:
 
     def __post_init__(self) -> None:
         MatchConfig(semantic_threshold=self.semantic_threshold)  # holds its range check
+        if not 0.0 < self.redundancy_threshold <= 1.0:
+            raise ConfigurationError(
+                f"redundancy_threshold must be in (0, 1], got {self.redundancy_threshold}"
+            )
         if self.sample_size < 0:
             raise ConfigurationError(f"sample_size must not be negative, got {self.sample_size}")
         for name in ("frequency_top_k", "heatmap_top_k"):

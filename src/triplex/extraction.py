@@ -351,8 +351,8 @@ def run_extraction(
         prompt = build_prompt(variant, bank, text, templates)
         try:
             reply = client.complete(prompt.text)
-        except TransportError as exc:
-            return (doc_id, article_id, chunk_index, None, str(exc))
+        except TransportError:
+            return (doc_id, article_id, chunk_index), [], {"chunks_failed": 1}
         candidates, rejections = parse_triples(reply)
         triples: list[Triple] = []
         norm_rejected = 0
@@ -373,6 +373,7 @@ def run_extraction(
             )
         lines_seen = len(candidates) + len(rejections)
         chunk_stats = {
+            "chunks_processed": 1,
             "lines_seen": lines_seen,
             "lines_parsed": len(triples),
             "lines_rejected": len(rejections) + norm_rejected,
@@ -383,7 +384,7 @@ def run_extraction(
                 1 for t in triples if _predicate_is_complex(t.predicate)
             ),
         }
-        return (doc_id, article_id, chunk_index, (triples, chunk_stats), None)
+        return (doc_id, article_id, chunk_index), triples, chunk_stats
 
     pending = iter(tasks)
     take = threading.Lock()
@@ -406,22 +407,15 @@ def run_extraction(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = [result for done in pool.map(drain, range(workers)) for result in done]
 
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
+    results.sort(key=lambda r: r[0])
     collected: list[Triple] = []
-    failures = 0
-    for doc_id, article_id, chunk_index, payload, error in results:
-        if error is not None:
-            failures += 1
-            continue
-        triples, chunk_stats = payload
-        stats["chunks_processed"] += 1
+    for _, triples, chunk_stats in results:
         for key, value in chunk_stats.items():
             stats[key] += value
         collected.extend(triples)
-    stats["chunks_failed"] = failures
-    if failures == len(tasks):
+    if stats["chunks_failed"] == len(tasks):
         raise ExtractionError(
-            f"all {failures} chunks failed; last resort is checking the endpoint"
+            f"all {len(tasks)} chunks failed; last resort is checking the endpoint"
         )
     kept, duplicates, capped = dedupe_and_cap(collected, cap)
     stats["duplicates_removed"] = duplicates

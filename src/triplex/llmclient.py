@@ -16,6 +16,7 @@ import random
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -311,9 +312,11 @@ class MockTransport:
 class HttpTransport:
     """JSON-over-HTTP transport with retries and exponential backoff.
 
-    Each thread keeps one keep-alive connection to the endpoint. A 3xx or 4xx
-    reply is fatal; a connection error, a timeout, a 5xx or a reply that is
-    not JSON is retried.
+    Requests share a pool of keep-alive connections to the endpoint: each
+    borrows an idle one, or opens one, and returns it once the exchange
+    succeeds, so the connections open never outnumber the requests in
+    flight. A 3xx or 4xx reply is fatal; a connection error, a timeout, a
+    5xx or a reply that is not JSON is retried.
     """
 
     def __init__(self, config: EndpointConfig, sleeper=time.sleep) -> None:
@@ -331,55 +334,38 @@ class HttpTransport:
         self._connection_class = (
             http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         )
-        # one keep-alive connection per thread, held here so close() reaches them all
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
-        self._connections_lock = threading.Lock()
+        # deque's append and pop are thread-safe, so borrowing needs no lock
+        self._idle: deque[http.client.HTTPConnection] = deque()
         self._chat_target = prefix + (config.chat_path or self._wire.chat_path)
         self._embeddings_target = prefix + (config.embeddings_path or self._wire.embeddings_path)
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection; opening one closes those of finished threads."""
-        thread = threading.current_thread()
-        connection = self._connections.get(thread)
-        if connection is None:
+    def close(self) -> None:
+        """Close every idle connection; call it with no request in flight."""
+        while self._idle:
+            self._idle.pop().close()
+
+    def _post(self, target: str, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on a pooled connection; return the status and reply bytes."""
+        try:
+            connection = self._idle.pop()
+        except IndexError:
             connection = self._connection_class(
                 self._netloc, timeout=self.config.timeout_ms / 1000.0
             )
-            with self._connections_lock:
-                for finished in [t for t in self._connections if not t.is_alive()]:
-                    self._connections.pop(finished).close()
-                self._connections[thread] = connection
-        return connection
-
-    def close(self) -> None:
-        """Close every thread's connection; call it with no request in flight."""
-        with self._connections_lock:
-            for connection in self._connections.values():
-                connection.close()
-
-    def _post(self, target: str, body: bytes) -> tuple[int, bytes]:
-        """POST ``body`` on this thread's connection; return the status and reply bytes."""
-        connection = self._connection()
-        idle = connection.sock is not None  # kept alive since an earlier request
-        try:
-            return self._exchange(connection, target, body)
-        except ConnectionError:
-            if not idle:
-                raise
-        # the server closed the idle connection: send once more on a fresh one
-        return self._exchange(connection, target, body)
-
-    @staticmethod
-    def _exchange(
-        connection: http.client.HTTPConnection, target: str, body: bytes
-    ) -> tuple[int, bytes]:
-        try:
-            connection.request("POST", target, body, _JSON_HEADERS)
-            response = connection.getresponse()
-            return response.status, response.read()
-        except BaseException:
-            connection.close()  # its state is unknown; the next request opens a fresh one
-            raise
+        # a connection kept alive since an earlier request may have been closed by the
+        # server while idle: a connection error on it sends the request once more
+        for resend in (connection.sock is not None, False):
+            try:
+                connection.request("POST", target, body, _JSON_HEADERS)
+                response = connection.getresponse()
+                reply = response.status, response.read()
+            except BaseException as exc:
+                connection.close()  # its state is unknown; a resend opens a fresh socket
+                if not (resend and isinstance(exc, ConnectionError)):
+                    raise
+            else:
+                self._idle.append(connection)
+                return reply
 
     def _request(self, target: str, payload: dict) -> object:
         url = self._origin + target

@@ -176,6 +176,8 @@ MALFORMED = [
     ("eval", "frequency_top_k", 0, "eval.frequency_top_k must be at least 1, got 0"),
     ("eval", "frequency_top_k", -2, "eval.frequency_top_k must be at least 1, got -2"),
     ("eval", "heatmap_top_k", 0, "eval.heatmap_top_k must be at least 1, got 0"),
+    ("eval", "redundancy_threshold", 5.0, "eval.redundancy_threshold must be in (0, 1], got 5.0"),
+    ("eval", "redundancy_threshold", -1.0, "eval.redundancy_threshold must be in (0, 1]"),
 ]
 
 

@@ -9,13 +9,14 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 
+from triplex import cli
 from triplex.errors import ConfigurationError, TransportError
 from triplex.extraction import parse_triples
 from triplex.llmclient import (
@@ -171,6 +172,7 @@ def test_client_embed_fetches_each_text_once():
 # ---------------------------------------------------------------------------
 
 DROP = object()  # outcome: close the connection without replying
+ECHO = object()  # outcome: reply to a chat request with its own prompt
 
 
 @dataclass
@@ -199,6 +201,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                 {"url": f"http://{self.headers['Host']}{self.path}", "body": body}
             )
             outcome = self.server.outcomes.pop(0)
+        if outcome is ECHO:
+            prompt = json.loads(body)["messages"][0]["content"]
+            outcome = Reply(200, {"message": {"content": prompt}})
         if outcome is DROP:
             self.close_connection = True
             return
@@ -506,41 +511,90 @@ def test_endpoint_url_without_http_scheme_or_host_is_fatal(monkeypatch, base_url
         HttpTransport(EndpointConfig(base_url=base_url))
 
 
-def test_http_keeps_one_connection_per_thread(serve):
+def _join_all(threads: list[threading.Thread], timeout_s: float) -> None:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout_s)
+        assert not thread.is_alive()
+
+
+def test_http_pools_connections_up_to_the_requests_in_flight(serve):
     threads = 8
     server = serve(*[Reply(200, {"message": {"content": "ok"}})] * (3 + threads * 3))
     transport, _ = _transport(server)
     for _ in range(3):
         transport.chat("hello")
     assert server.connections == 1
+    client = LlmClient(replace(transport.config, max_parallel_requests=2), transport)
     start = threading.Barrier(threads)
+    replies: list[str] = []
 
     def worker() -> None:
         start.wait(timeout=5)
         for _ in range(3):
-            assert transport.chat("hello") == "ok"
+            replies.append(client.complete("hello"))
 
-    workers = [threading.Thread(target=worker) for _ in range(threads)]
-    for thread in workers:
-        thread.start()
-    for thread in workers:
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+    _join_all([threading.Thread(target=worker) for _ in range(threads)], timeout_s=10)
+    assert replies == ["ok"] * (threads * 3)
     assert len(server.requests) == 3 + threads * 3
-    assert server.connections == 1 + threads
+    assert server.connections <= 2
 
 
-def test_http_closes_the_connection_of_a_finished_thread(serve):
+def test_http_reuses_a_finished_threads_connection(serve):
     server = serve(*[Reply(200, {"message": {"content": "ok"}})] * 2)
     transport, _ = _transport(server)
     for _ in range(2):
-        thread = threading.Thread(target=transport.chat, args=("hello",))
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-    # the second thread's new connection closed the first thread's
-    assert server.closed.acquire(timeout=5)
-    assert server.connections == 2
+        _join_all([threading.Thread(target=transport.chat, args=("hello",))], timeout_s=10)
+    assert len(server.requests) == 2
+    assert server.connections == 1
+
+
+def test_http_pool_never_lends_one_connection_twice(serve):
+    threads, requests = 16, 20
+    server = serve(*[ECHO] * (threads * requests))
+    transport, _ = _transport(server, max_retries=0)
+    mismatched: list[tuple[str, str]] = []
+
+    def worker(name: int) -> None:
+        for i in range(requests):
+            prompt = f"thread {name} request {i}"
+            reply = transport.chat(prompt)
+            if reply != prompt:
+                mismatched.append((prompt, reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _join_all(
+            [threading.Thread(target=worker, args=(n,)) for n in range(threads)], timeout_s=60
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatched == []
+    assert len(server.requests) == threads * requests
+    assert server.connections <= threads
+    # every connection opened is back in the pool, and none is in it twice
+    assert len({id(c) for c in transport._idle}) == len(transport._idle) == server.connections
+
+
+def test_live_extract_of_every_variant_shares_max_parallel_connections(
+    serve, config_file, monkeypatch
+):
+    server = serve(*[ECHO] * 2000)
+
+    def make_closed_client(config, backend):
+        client = make_client(config, backend)
+        server.transports.append(client.transport)  # the CLI leaves it open
+        return client
+
+    monkeypatch.setattr(cli, "make_client", make_closed_client)
+    config = config_file(endpoint={"base_url": server.url, "max_parallel_requests": 2})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    argv = ["extract", "--config", str(config), "--variant", "all", "--backend", "live"]
+    assert cli.main(argv) == 0
+    assert len(server.requests) > 8  # several chunks for each of the four variants
+    assert server.connections <= 2
 
 
 def test_http_resends_once_on_a_connection_closed_while_idle(serve):
