@@ -45,7 +45,7 @@ _VARIANT_CHOICES = [v.value for v in PromptVariant] + ["all"]
 def _variants(name: str) -> list[PromptVariant]:
     if name == "all":
         return list(PromptVariant)
-    return [PromptVariant.from_name(name)]
+    return [PromptVariant(name)]
 
 
 def cmd_ingest(config: PipelineConfig) -> int:
@@ -65,32 +65,32 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
     corpus = read_corpus_jsonl(config.corpus_cache)
     bank = load_example_bank(config.examples_file)
     templates = PromptTemplates.from_dir(config.template_dir)
-    client = make_client(config.endpoint, backend)
     worst = EXIT_OK
-    for variant in _variants(variant_name):
-        try:
-            run = run_extraction(
-                corpus,
-                variant,
-                bank,
-                client,
-                config.preprocess,
-                templates=templates,
-                generic_lexicon=config.generic_terms,
+    with make_client(config.endpoint, backend) as client:
+        for variant in _variants(variant_name):
+            try:
+                run = run_extraction(
+                    corpus,
+                    variant,
+                    bank,
+                    client,
+                    config.preprocess,
+                    templates=templates,
+                    generic_lexicon=config.generic_terms,
+                )
+            except ExtractionError as exc:
+                print(f"{variant.value}: {exc}", file=sys.stderr)
+                worst = max(worst, EXIT_PARTIAL)
+                continue
+            path = config.runs_dir / f"{variant.value}.jsonl"
+            write_run(run, path)
+            print(
+                f"wrote {path} ({len(run.triples)} triples, "
+                f"{run.stats['chunks_processed']} chunks, "
+                f"{run.stats['chunks_failed']} failed)"
             )
-        except ExtractionError as exc:
-            print(f"{variant.value}: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_PARTIAL)
-            continue
-        path = config.runs_dir / f"{variant.value}.jsonl"
-        write_run(run, path)
-        print(
-            f"wrote {path} ({len(run.triples)} triples, "
-            f"{run.stats['chunks_processed']} chunks, "
-            f"{run.stats['chunks_failed']} failed)"
-        )
-        if run.stats["chunks_failed"]:
-            worst = max(worst, EXIT_PARTIAL)
+            if run.stats["chunks_failed"]:
+                worst = max(worst, EXIT_PARTIAL)
     return worst
 
 
@@ -108,7 +108,6 @@ def _load_runs(config: PipelineConfig) -> dict[str, object]:
 def cmd_eval(config: PipelineConfig, backend: str) -> int:
     runs = _load_runs(config)
     gold = load_gold(config.eval.gold_path)
-    client = make_client(config.endpoint, backend)
     gold_dist = predicate_distribution(gold.triples)
     embedding_model = (
         "mock (hashed character trigrams)"
@@ -127,46 +126,47 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
         },
         "variants": {},
     }
-    for name in sorted(runs):
-        run = runs[name]
-        entry: dict = {}
-        for mode in MatchMode:
-            match_config = MatchConfig(
-                mode=mode,
-                semantic_threshold=config.eval.semantic_threshold,
-                assignment=config.eval.assignment,
+    with make_client(config.endpoint, backend) as client:
+        for name in sorted(runs):
+            run = runs[name]
+            entry: dict = {}
+            for mode in MatchMode:
+                match_config = MatchConfig(
+                    mode=mode,
+                    semantic_threshold=config.eval.semantic_threshold,
+                    assignment=config.eval.assignment,
+                )
+                result = match(
+                    run.triples,
+                    gold.triples,
+                    match_config,
+                    embedder=client if mode is MatchMode.SEMANTIC else None,
+                )
+                metrics = metrics_from(result, len(run.triples), len(gold))
+                entry[mode.value] = {
+                    "precision": round(metrics.precision, 6),
+                    "recall": round(metrics.recall, 6),
+                    "f1": round(metrics.f1, 6),
+                    "pairs": len(result.pairs),
+                    "unmatched_predicted": len(result.unmatched_predicted),
+                    "unmatched_gold": len(result.unmatched_gold),
+                    "semantic_threshold": config.eval.semantic_threshold,
+                    "assignment": config.eval.assignment.value,
+                }
+            dist = predicate_distribution(run.triples)
+            entry["redundancy"] = (
+                round(
+                    redundancy_score(run.triples, client, config.eval.redundancy_threshold), 6
+                )
+                if run.triples
+                else 0.0
             )
-            result = match(
-                run.triples,
-                gold.triples,
-                match_config,
-                embedder=client if mode is MatchMode.SEMANTIC else None,
+            entry["jsd_to_gold"] = (
+                round(distribution_divergence(dist, gold_dist), 6) if dist.total else 1.0
             )
-            metrics = metrics_from(result, len(run.triples), len(gold))
-            entry[mode.value] = {
-                "precision": round(metrics.precision, 6),
-                "recall": round(metrics.recall, 6),
-                "f1": round(metrics.f1, 6),
-                "pairs": len(result.pairs),
-                "unmatched_predicted": len(result.unmatched_predicted),
-                "unmatched_gold": len(result.unmatched_gold),
-                "semantic_threshold": config.eval.semantic_threshold,
-                "assignment": config.eval.assignment.value,
-            }
-        dist = predicate_distribution(run.triples)
-        entry["redundancy"] = (
-            round(
-                redundancy_score(run.triples, client, config.eval.redundancy_threshold), 6
-            )
-            if run.triples
-            else 0.0
-        )
-        entry["jsd_to_gold"] = (
-            round(distribution_divergence(dist, gold_dist), 6) if dist.total else 1.0
-        )
-        entry["coverage"] = round(coverage_score(run.triples, gold.triples), 6)
-        entry["n_predicted"] = len(run.triples)
-        report["variants"][name] = entry
+            entry["coverage"] = round(coverage_score(run.triples, gold.triples), 6)
+            entry["n_predicted"] = len(run.triples)
+            report["variants"][name] = entry
     write_json(config.eval_report_path, report)
     print(f"wrote {config.eval_report_path} ({len(runs)} variants, 3 match modes)")
     return EXIT_OK
@@ -208,7 +208,7 @@ def cmd_report(config: PipelineConfig) -> int:
 def cmd_sample(config: PipelineConfig, variant_name: str) -> int:
     if variant_name == "all":
         raise ConfigurationError("sample needs a single --variant, not 'all'")
-    variant = PromptVariant.from_name(variant_name)
+    variant = PromptVariant(variant_name)
     run = read_run(config.runs_dir / f"{variant.value}.jsonl")
     records = sample_for_annotation(run, n=config.eval.sample_size, seed=config.eval.seed)
     out_path = config.output_dir / "annotation_sample.csv"

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import read_text, write_text
+from .artifacts import write_text
 from .errors import ConfigurationError
 from .extraction import ExtractionRun, Triple
 from .gold import GoldTriple
@@ -50,7 +50,6 @@ __all__ = [
     "AnnotationRecord",
     "sample_for_annotation",
     "write_annotation_csv",
-    "load_annotation_csv",
 ]
 
 DEFAULT_REDUNDANCY_THRESHOLD = 0.9
@@ -398,18 +397,6 @@ class AnnotationRecord:
         default_factory=lambda: {name: None for name in ANNOTATION_METRICS}
     )
     comment: str = ""
-    annotator: str = ""
-
-    def validate(self) -> None:
-        extra = set(self.scores) - set(ANNOTATION_METRICS)
-        missing = set(ANNOTATION_METRICS) - set(self.scores)
-        if extra or missing:
-            raise ValueError(
-                f"annotation scores must have exactly the keys {ANNOTATION_METRICS}"
-            )
-        for name, value in self.scores.items():
-            if value is not None and value not in (1, 2, 3, 4, 5):
-                raise ValueError(f"score {name} must be 1-5, got {value!r}")
 
 
 def sample_for_annotation(run: ExtractionRun, n: int, seed: int) -> list[AnnotationRecord]:
@@ -462,30 +449,3 @@ def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) 
             ]
         )
     write_text(path, buffer.getvalue())
-
-
-def load_annotation_csv(path: str | Path) -> list[AnnotationRecord]:
-    """Read an annotation CSV back, validating any filled-in scores."""
-    from .prompting import PromptVariant
-
-    records: list[AnnotationRecord] = []
-    for row in csv.DictReader(io.StringIO(read_text(path, "annotation sheet"))):
-        triple = Triple(
-            subject=row["subject"],
-            predicate=row["predicate"],
-            object=row["object"],
-            doc_id=row.get("doc_id", ""),
-            article_id=row.get("article_id", ""),
-            chunk_index=int(row.get("chunk_index") or 0),
-            variant=PromptVariant.from_name(row["variant"]),
-        )
-        scores: dict[str, int | None] = {}
-        for name in ANNOTATION_METRICS:
-            raw = (row.get(name) or "").strip()
-            scores[name] = int(raw) if raw else None
-        record = AnnotationRecord(
-            triple=triple, scores=scores, comment=row.get("comment", "")
-        )
-        record.validate()
-        records.append(record)
-    return records

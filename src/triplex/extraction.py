@@ -19,7 +19,7 @@ from pathlib import Path
 from .artifacts import read_json, read_jsonl, write_json, write_jsonl
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
-from .errors import ExtractionError, TransportError
+from .errors import ConfigurationError, ExtractionError, TransportError
 from .llmclient import LlmClient
 from .prompting import ExampleBank, PromptTemplates, PromptVariant, build_prompt
 
@@ -45,14 +45,8 @@ _QUOTED_TUPLE_RE = re.compile(
     r"""^\(?\s*(['"])(?P<s>.*?)\1\s*,\s*(['"])(?P<p>.*?)\3\s*,\s*(['"])(?P<o>.*?)\5\s*\)?\s*[.,;]?\s*$"""
 )
 _FIELD_NAMES = ("subject", "predicate", "object")
-_WRAPPER_PAIRS = (
-    ("(", ")"),
-    ("[", "]"),
-    ('"', '"'),
-    ("'", "'"),
-    ("‘", "’"),
-    ("“", "”"),
-)
+# no closer is ".", so at most one of normalize_field's strip rules fits a text
+_WRAPPER_PAIRS = frozenset({("(", ")"), ("[", "]"), ('"', '"'), ("'", "'"), ("‘", "’"), ("“", "”")})
 
 REFINEMENT_PROMPT = """Rewrite the triple below so that every generic term names its specific referent.
 Generic terms: {terms}
@@ -162,13 +156,12 @@ def normalize_field(value: str) -> str:
     Idempotent: normalizing an already normalized value changes nothing.
     """
     text = value.strip()
-    while True:
-        before = text
-        for opener, closer in _WRAPPER_PAIRS:
-            if len(text) >= 2 and text.startswith(opener) and text.endswith(closer):
-                text = text[1:-1].strip()
-        text = text.rstrip(".").strip()
-        if text == before:
+    while text:
+        if len(text) >= 2 and (text[0], text[-1]) in _WRAPPER_PAIRS:
+            text = text[1:-1].strip()
+        elif text[-1] == ".":
+            text = text.rstrip(".").strip()
+        else:
             break
     return " ".join(text.split()).lower()
 
@@ -431,15 +424,19 @@ _triple_values = attrgetter(*_TRIPLE_FIELDS)
 
 
 def _triple(record: dict) -> Triple:
-    return Triple(**{**record, "variant": PromptVariant.from_name(record["variant"])})
+    record["variant"] = PromptVariant(record["variant"])
+    return Triple(**record)
 
 
 def _run_meta(meta: dict) -> dict:
+    stats = {**_empty_stats(), **meta.get("stats", {})}
     return {
-        "stats": {**_empty_stats(), **meta.get("stats", {})},
+        "stats": stats,
         "endpoint_fingerprint": meta.get("endpoint_fingerprint", ""),
         "prompt_fingerprint": meta.get("prompt_fingerprint", ""),
-        "variant": PromptVariant.from_name(meta["variant"]) if "variant" in meta else None,
+        "variant": PromptVariant(meta["variant"]) if "variant" in meta else None,
+        # the triples written: every parsed line less those dedupe_and_cap dropped
+        "kept": stats["lines_parsed"] - stats["duplicates_removed"] - stats["capped_count"],
     }
 
 
@@ -466,15 +463,23 @@ def read_run(path: str | Path) -> ExtractionRun:
     """Rehydrate a run written by :func:`write_run`.
 
     The run's variant is its records' variant; a run without triples takes
-    the sidecar's, and one without a sidecar is named by its file stem.
+    the sidecar's, and one without a sidecar is named by its file stem. A
+    run whose sidecar counts other than the triples it holds, such as one
+    cut short at a line boundary, is corrupt.
     """
     target = Path(path)
     triples = read_jsonl(target, "run file", _triple)
     sidecar = target.with_suffix(".stats.json")
-    meta = read_json(sidecar, "run stats file", _run_meta) if sidecar.is_file() else _run_meta({})
+    has_sidecar = sidecar.is_file()
+    meta = read_json(sidecar, "run stats file", _run_meta) if has_sidecar else _run_meta({})
+    kept = meta.pop("kept")
+    if has_sidecar and kept != len(triples):
+        raise ConfigurationError(
+            f"corrupt run file {target}: holds {len(triples)} triples, its stats say {kept}"
+        )
     variant = meta.pop("variant")
     if triples:
         variant = triples[-1].variant
     elif variant is None:
-        variant = PromptVariant.from_name(target.stem)
+        variant = PromptVariant(target.stem)
     return ExtractionRun(variant=variant, triples=triples, **meta)

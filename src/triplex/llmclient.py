@@ -295,6 +295,8 @@ class Transport(Protocol):
 
     def embed_one(self, text: str) -> Sequence[float]: ...
 
+    def close(self) -> None: ...
+
 
 class MockTransport:
     """Deterministic stand-in for a model server. Never fails."""
@@ -307,6 +309,9 @@ class MockTransport:
 
     def embed_one(self, text: str) -> Sequence[float]:
         return mock_embedding(text)
+
+    def close(self) -> None:
+        pass
 
 
 class HttpTransport:
@@ -442,6 +447,16 @@ class LlmClient:
         self._lock = threading.Lock()
         self.stats = {"requests": 0, "failures": 0, "total_latency_ms": 0.0}
         self._embeddings: dict[str, EmbeddingVector] = {}
+
+    def __enter__(self) -> "LlmClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the transport's connections; call it with no request in flight."""
+        self.transport.close()
 
     def _timed(self, call, *args):
         # latency is service time: the clock starts once the gate is passed

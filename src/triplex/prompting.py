@@ -59,12 +59,9 @@ class PromptVariant(enum.Enum):
         return self.rank < other.rank
 
     @classmethod
-    def from_name(cls, name: str) -> "PromptVariant":
-        for variant in cls:
-            if variant.value == name:
-                return variant
+    def _missing_(cls, value: object) -> "PromptVariant":
         valid = ", ".join(v.value for v in cls)
-        raise ConfigurationError(f"unknown prompt variant {name!r}; valid names: {valid}")
+        raise ConfigurationError(f"unknown prompt variant {value!r}; valid names: {valid}")
 
 
 @dataclass(frozen=True)

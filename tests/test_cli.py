@@ -306,7 +306,24 @@ def test_truncated_run_stats_file_is_fatal_and_names_file_and_line(config_file, 
     assert re.search(r"line \d+ column \d+", stderr)
 
 
-@pytest.mark.parametrize("content", ["[]", '{"stats": [1, 2]}'])
+def test_run_file_cut_at_a_line_boundary_is_fatal_and_names_the_counts(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) > 10
+    run.write_text("".join(lines[:10]), encoding="utf-8")
+    message = f"corrupt run file {run}: holds 10 triples, its stats say {len(lines)}"
+    for command in (["eval"], ["sample", "--variant", "zero-shot"]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", ["[]", '{"stats": [1, 2]}', '{"stats": {"lines_parsed": "many"}}']
+)
 def test_run_stats_file_of_the_wrong_shape_is_fatal_and_names_file(
     config_file, capsys, content
 ):

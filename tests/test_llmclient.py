@@ -578,23 +578,36 @@ def test_http_pool_never_lends_one_connection_twice(serve):
     assert len({id(c) for c in transport._idle}) == len(transport._idle) == server.connections
 
 
-def test_live_extract_of_every_variant_shares_max_parallel_connections(
-    serve, config_file, monkeypatch
-):
+def test_live_extract_of_every_variant_shares_max_parallel_connections(serve, config_file):
     server = serve(*[ECHO] * 2000)
-
-    def make_closed_client(config, backend):
-        client = make_client(config, backend)
-        server.transports.append(client.transport)  # the CLI leaves it open
-        return client
-
-    monkeypatch.setattr(cli, "make_client", make_closed_client)
     config = config_file(endpoint={"base_url": server.url, "max_parallel_requests": 2})
     assert cli.main(["ingest", "--config", str(config)]) == 0
     argv = ["extract", "--config", str(config), "--variant", "all", "--backend", "live"]
     assert cli.main(argv) == 0
     assert len(server.requests) > 8  # several chunks for each of the four variants
     assert server.connections <= 2
+
+
+def test_live_extract_and_eval_close_their_connections(serve, config_file, monkeypatch):
+    chat = serve(*[ECHO] * 2000)
+    embed = serve(*[Reply(200, {"embedding": [1.0, 0.0]})] * 5000)
+    clients: list[LlmClient] = []
+
+    def capture(config, backend):
+        clients.append(make_client(config, backend))
+        return clients[-1]
+
+    monkeypatch.setattr(cli, "make_client", capture)
+    config = config_file(endpoint={"base_url": chat.url})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    argv = ["extract", "--config", str(config), "--variant", "zero-shot", "--backend", "live"]
+    assert cli.main(argv) == 0
+    config = config_file(endpoint={"base_url": embed.url})
+    assert cli.main(["eval", "--config", str(config), "--backend", "live"]) == 0
+    assert chat.requests and embed.requests
+    # every connection went back to the pool when its request was answered,
+    # so an empty pool means the command closed them
+    assert [len(client.transport._idle) for client in clients] == [0, 0]
 
 
 def test_http_resends_once_on_a_connection_closed_while_idle(serve):

@@ -45,14 +45,14 @@ def test_variant_names_and_order():
     assert PromptVariant.ZERO_SHOT < PromptVariant.NEGATIVE_EXAMPLES
 
 
-def test_from_name_round_trips():
+def test_constructor_round_trips():
     for variant in PromptVariant:
-        assert PromptVariant.from_name(variant.value) is variant
+        assert PromptVariant(variant.value) is variant
 
 
-def test_from_name_unknown_lists_valid_names():
+def test_constructor_unknown_lists_valid_names():
     with pytest.raises(ConfigurationError) as excinfo:
-        PromptVariant.from_name("two-shot")
+        PromptVariant("two-shot")
     message = str(excinfo.value)
     for name in ("zero-shot", "one-shot", "few-shot", "negative-examples"):
         assert name in message
