@@ -95,13 +95,25 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
 
 
 def _load_runs(config: PipelineConfig) -> dict[str, object]:
-    runs = {}
+    """Every run under ``runs/`` by variant: one file per variant, all from one endpoint."""
+    runs, paths, endpoints = {}, {}, {}
     if config.runs_dir.is_dir():
         for path in sorted(config.runs_dir.glob("*.jsonl")):
             run = read_run(path)
-            runs[run.variant.value] = run
+            name = run.variant.value
+            if name in runs:
+                raise ConfigurationError(f"run files {paths[name]} and {path} both hold {name}")
+            runs[name], paths[name] = run, path
+            if run.endpoint_fingerprint:  # a run without a sidecar has none
+                endpoints.setdefault(run.endpoint_fingerprint, name)
     if not runs:
         raise ConfigurationError(f"no runs found under {config.runs_dir}; run extract first")
+    if len(endpoints) > 1:
+        first, second = list(endpoints.values())[:2]
+        raise ConfigurationError(
+            f"runs {first} and {second} come from different endpoint settings; "
+            "extract them again with one config"
+        )
     return runs
 
 

@@ -140,13 +140,18 @@ def _collect_units(
             _collect_units(elem, prefix, out, counters)
 
 
+def _tag_texts(root: ET.Element, word: str) -> list[str]:
+    """Whitespace-collapsed, non-empty text of each element whose tag contains ``word``."""
+    texts = (
+        " ".join("".join(elem.itertext()).split())
+        for elem in root.iter()
+        if word in _local_tag(elem.tag)
+    )
+    return [text for text in texts if text]
+
+
 def _extract_parties(root: ET.Element, filename: str) -> tuple[str | None, str | None]:
-    names: list[str] = []
-    for elem in root.iter():
-        if "party" in _local_tag(elem.tag):
-            text = " ".join("".join(elem.itertext()).split())
-            if text:
-                names.append(text)
+    names = _tag_texts(root, "party")
     if not names:
         # <partyA>-<partyB>*.xml fallback; numeric segments are years, not parties
         stem = Path(filename).stem
@@ -157,15 +162,9 @@ def _extract_parties(root: ET.Element, filename: str) -> tuple[str | None, str |
 
 
 def _extract_sectors(root: ET.Element) -> tuple[str, ...]:
-    sectors: set[str] = set()
-    for elem in root.iter():
-        if "sector" in _local_tag(elem.tag):
-            text = " ".join("".join(elem.itertext()).split())
-            for part in re.split(r"[,;]", text):
-                part = part.strip().lower()
-                if part:
-                    sectors.add(part)
-    return tuple(sorted(sectors))
+    texts = _tag_texts(root, "sector")
+    parts = (part.strip().lower() for text in texts for part in re.split(r"[,;]", text))
+    return tuple(sorted({part for part in parts if part}))
 
 
 def _parse_file(path: Path) -> AgreementDocument:

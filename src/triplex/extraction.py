@@ -198,6 +198,10 @@ def _normalize_candidate(
     )
 
 
+# the fields refinement may replace, in the order their terms enter the prompt
+_GENERIC_FIELDS = ("subject", "object")
+
+
 def refine_generic(
     triples: list[Triple],
     chunk_text: str,
@@ -216,54 +220,32 @@ def refine_generic(
     refined_count = 0
     failures = 0
     for triple in triples:
-        if not (triple.generic_subject or triple.generic_object):
-            refined.append(triple)
-            continue
-        generic_fields = []
-        if triple.generic_subject:
-            generic_fields.append(triple.subject)
-        if triple.generic_object:
-            generic_fields.append(triple.object)
-        prompt = REFINEMENT_PROMPT.format(
-            terms="; ".join(generic_fields),
-            s=triple.subject,
-            p=triple.predicate,
-            o=triple.object,
-            chunk=chunk_text,
-        )
-        try:
-            reply = client.complete(prompt)
-        except TransportError:
-            failures += 1
-            refined.append(triple)
-            continue
-        candidates, _ = parse_triples(reply)
-        if not candidates:
-            refined.append(triple)
-            continue
-        candidate = candidates[0]
-        new_subject, new_object = triple.subject, triple.object
-        if triple.generic_subject:
-            replacement = normalize_field(candidate.subject)
-            if replacement and not flag_generic(replacement, terms):
-                new_subject = replacement
-        if triple.generic_object:
-            replacement = normalize_field(candidate.object)
-            if replacement and not flag_generic(replacement, terms):
-                new_object = replacement
-        if new_subject == triple.subject and new_object == triple.object:
-            refined.append(triple)
-            continue
-        refined_count += 1
-        refined.append(
-            replace(
-                triple,
-                subject=new_subject,
-                object=new_object,
-                generic_subject=flag_generic(new_subject, terms),
-                generic_object=flag_generic(new_object, terms),
+        generic = [name for name in _GENERIC_FIELDS if getattr(triple, f"generic_{name}")]
+        if generic:
+            prompt = REFINEMENT_PROMPT.format(
+                terms="; ".join(getattr(triple, name) for name in generic),
+                s=triple.subject,
+                p=triple.predicate,
+                o=triple.object,
+                chunk=chunk_text,
             )
-        )
+            try:
+                candidates, _ = parse_triples(client.complete(prompt))
+            except TransportError:
+                failures += 1
+                candidates = []
+            changes = {}
+            for name in generic if candidates else ():
+                replacement = normalize_field(getattr(candidates[0], name))
+                accepted = replacement and not flag_generic(replacement, terms)
+                if accepted and replacement != getattr(triple, name):
+                    changes[name] = replacement
+            if changes:
+                refined_count += 1
+                fields = {n: changes.get(n, getattr(triple, n)) for n in _GENERIC_FIELDS}
+                flags = {f"generic_{n}": flag_generic(v, terms) for n, v in fields.items()}
+                triple = replace(triple, **fields, **flags)
+        refined.append(triple)
     return refined, refined_count, failures
 
 
@@ -423,11 +405,6 @@ _TRIPLE_FIELDS = tuple(f.name for f in dataclass_fields(Triple))
 _triple_values = attrgetter(*_TRIPLE_FIELDS)
 
 
-def _triple(record: dict) -> Triple:
-    record["variant"] = PromptVariant(record["variant"])
-    return Triple(**record)
-
-
 def _run_meta(meta: dict) -> dict:
     stats = {**_empty_stats(), **meta.get("stats", {})}
     return {
@@ -462,24 +439,31 @@ def write_run(run: ExtractionRun, path: str | Path) -> None:
 def read_run(path: str | Path) -> ExtractionRun:
     """Rehydrate a run written by :func:`write_run`.
 
-    The run's variant is its records' variant; a run without triples takes
-    the sidecar's, and one without a sidecar is named by its file stem. A
-    run whose sidecar counts other than the triples it holds, such as one
-    cut short at a line boundary, is corrupt.
+    The run's variant is its sidecar's; a run without a sidecar takes its
+    first record's, and one without records is named by its file stem. A
+    record naming another variant makes the run corrupt, and so does a
+    sidecar counting other than the triples the run holds, as for a run cut
+    short at a line boundary.
     """
     target = Path(path)
-    triples = read_jsonl(target, "run file", _triple)
     sidecar = target.with_suffix(".stats.json")
     has_sidecar = sidecar.is_file()
     meta = read_json(sidecar, "run stats file", _run_meta) if has_sidecar else _run_meta({})
+    variant = meta.pop("variant")
+
+    def triple(record: dict) -> Triple:
+        nonlocal variant
+        record["variant"] = named = PromptVariant(record["variant"])
+        if variant is None:
+            variant = named
+        elif named is not variant:
+            raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
+        return Triple(**record)
+
+    triples = read_jsonl(target, "run file", triple)
     kept = meta.pop("kept")
     if has_sidecar and kept != len(triples):
         raise ConfigurationError(
             f"corrupt run file {target}: holds {len(triples)} triples, its stats say {kept}"
         )
-    variant = meta.pop("variant")
-    if triples:
-        variant = triples[-1].variant
-    elif variant is None:
-        variant = PromptVariant(target.stem)
-    return ExtractionRun(variant=variant, triples=triples, **meta)
+    return ExtractionRun(variant=variant or PromptVariant(target.stem), triples=triples, **meta)

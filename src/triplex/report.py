@@ -111,11 +111,31 @@ def parse_metrics_csv(csv_text: str) -> dict[str, dict[str, Metrics]]:
 # ---------------------------------------------------------------------------
 
 
-def _svg_header(width: int, height: int) -> str:
+def _text(
+    x: int, y: int, content: str, size: int = 12, fill: str = "#222", anchor: str = ""
+) -> str:
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">'
+        f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{anchor_attr}>'
+        f"{escape(content)}</text>"
     )
+
+
+def _rect(x: int, y: int, width: int, height: int, fill: str, outlined: bool = False) -> str:
+    outline = ' stroke="#cccccc" stroke-width="1"' if outlined else ""
+    return f'<rect x="{x}" y="{y}" width="{width}" height="{height}" fill="{fill}"{outline}/>'
+
+
+def _svg(width: int, height: int, title: str, title_at: tuple[int, int], body: list[str]) -> str:
+    """A white canvas holding ``body``, under a 16-point title when one is given."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    if title:
+        parts.append(_text(*title_at, title, size=16))
+    return "\n".join([*parts, *body, "</svg>"]) + "\n"
 
 
 def frequency_chart(distribution: PredicateDistribution, top_k: int, title: str = "") -> str:
@@ -140,29 +160,16 @@ def frequency_chart(distribution: PredicateDistribution, top_k: int, title: str 
     height = top + len(rows) * (bar_height + gap) + 10
     max_count = max(count for _, count in rows)
 
-    parts = [_svg_header(width, height)]
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    if title:
-        parts.append(
-            f'<text x="10" y="24" font-size="16" fill="#222">{escape(title)}</text>'
-        )
+    body = []
     for i, (label, count) in enumerate(rows):
         y = top + i * (bar_height + gap)
-        bar = int(round(chart_width * count / max_count)) if max_count else 0
-        parts.append(
-            f'<text x="{label_width - 6}" y="{y + 15}" font-size="12" fill="#222" '
-            f'text-anchor="end">{escape(label)}</text>'
-        )
-        parts.append(
-            f'<rect x="{label_width}" y="{y}" width="{max(bar, 1)}" '
-            f'height="{bar_height}" fill="#4a6fa5"/>'
-        )
-        parts.append(
-            f'<text x="{label_width + max(bar, 1) + 6}" y="{y + 15}" font-size="12" '
-            f'fill="#222">{count}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        bar = max(int(round(chart_width * count / max_count)), 1) if max_count else 1
+        body += [
+            _text(label_width - 6, y + 15, label, anchor="end"),
+            _rect(label_width, y, bar, bar_height, "#4a6fa5"),
+            _text(label_width + bar + 6, y + 15, str(count)),
+        ]
+    return _svg(width, height, title, (10, 24), body)
 
 
 @dataclass(frozen=True)
@@ -235,59 +242,29 @@ def heatmap(spec: HeatmapSpec, title: str = "") -> str:
     legend_height = 56 + (16 if spec.column_remainders else 0)
     height = top + len(spec.rows) * cell_h + legend_height
     max_value = max((v for row in spec.cells for v in row), default=0.0)
+    centers = [label_width + j * cell_w + cell_w // 2 for j in range(len(spec.columns))]
 
-    parts = [_svg_header(width, height)]
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    if title:
-        parts.append(
-            f'<text x="12" y="26" font-size="16" fill="#222">{escape(title)}</text>'
-        )
-    for j, column in enumerate(spec.columns):
-        x = label_width + j * cell_w + cell_w // 2
-        parts.append(
-            f'<text x="{x}" y="{top - 8}" font-size="12" fill="#222" '
-            f'text-anchor="middle">{escape(column)}</text>'
-        )
+    body = [_text(x, top - 8, c, anchor="middle") for x, c in zip(centers, spec.columns)]
     for i, row_label in enumerate(spec.rows):
         y = top + i * cell_h
-        parts.append(
-            f'<text x="{label_width - 8}" y="{y + 16}" font-size="12" fill="#222" '
-            f'text-anchor="end">{escape(row_label)}</text>'
-        )
-        for j in range(len(spec.columns)):
-            value = spec.cells[i][j]
-            parts.append(
-                f'<rect x="{label_width + j * cell_w}" y="{y}" width="{cell_w}" '
-                f'height="{cell_h}" fill="{_cell_fill(value, max_value)}" '
-                f'stroke="#cccccc" stroke-width="1"/>'
-            )
+        body.append(_text(label_width - 8, y + 16, row_label, anchor="end"))
+        for j, value in enumerate(spec.cells[i]):
+            fill = _cell_fill(value, max_value)
+            body.append(_rect(label_width + j * cell_w, y, cell_w, cell_h, fill, outlined=True))
     base_y = top + len(spec.rows) * cell_h
     if spec.column_remainders:
-        for j, remainder in enumerate(spec.column_remainders):
-            x = label_width + j * cell_w + cell_w // 2
-            parts.append(
-                f'<text x="{x}" y="{base_y + 16}" font-size="10" fill="#666" '
-                f'text-anchor="middle">other: {remainder:.2f}</text>'
-            )
+        for x, remainder in zip(centers, spec.column_remainders):
+            other = f"other: {remainder:.2f}"
+            body.append(_text(x, base_y + 16, other, size=10, fill="#666", anchor="middle"))
         base_y += 16
     # legend: five swatches from zero to the maximum cell value
-    parts.append(
-        f'<text x="{label_width}" y="{base_y + 24}" font-size="11" fill="#222">'
-        f"relative frequency: 0.00</text>"
-    )
+    body.append(_text(label_width, base_y + 24, "relative frequency: 0.00", size=11))
     swatch_x = label_width + 170
     for step in range(5):
-        value = max_value * step / 4 if max_value else 0.0
-        parts.append(
-            f'<rect x="{swatch_x + step * 26}" y="{base_y + 12}" width="26" height="16" '
-            f'fill="{_cell_fill(value, max_value)}" stroke="#cccccc" stroke-width="1"/>'
-        )
-    parts.append(
-        f'<text x="{swatch_x + 5 * 26 + 8}" y="{base_y + 24}" font-size="11" '
-        f'fill="#222">{max_value:.2f}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        fill = _cell_fill(max_value * step / 4, max_value)
+        body.append(_rect(swatch_x + step * 26, base_y + 12, 26, 16, fill, outlined=True))
+    body.append(_text(swatch_x + 5 * 26 + 8, base_y + 24, f"{max_value:.2f}", size=11))
+    return _svg(width, height, title, (12, 26), body)
 
 
 def write_report_bundle(

@@ -23,8 +23,8 @@ TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden"
 
 
-def run_all_eval_report(work_dir: Path) -> bytes:
-    """``eval_report.json`` of a mock ``run-all`` over the fixture corpus."""
+def run_all(work_dir: Path) -> Path:
+    """Run a mock ``run-all`` over the fixture corpus; returns its output directory."""
     settings = {
         "corpus": {"source_dir": str(TESTS / "fixtures" / "corpus"), "max_chunk_chars": 600},
         "output_dir": str(work_dir / "out"),
@@ -36,7 +36,18 @@ def run_all_eval_report(work_dir: Path) -> bytes:
     code = cli_main(["run-all", "--config", str(config)])
     if code != 0:
         raise RuntimeError(f"run-all exited {code}")
-    return (work_dir / "out" / "eval_report.json").read_bytes()
+    return work_dir / "out"
+
+
+def run_all_eval_report(work_dir: Path) -> bytes:
+    """``eval_report.json`` of a mock ``run-all`` over the fixture corpus."""
+    return (run_all(work_dir) / "eval_report.json").read_bytes()
+
+
+def run_all_pinned(out: Path) -> dict[str, bytes]:
+    """Every report file and the refined negative-examples run, keyed by path under ``out``."""
+    paths = [*sorted((out / "report").iterdir()), out / "runs" / "negative-examples.jsonl"]
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in paths}
 
 
 def main() -> None:
@@ -62,10 +73,14 @@ def main() -> None:
     (GOLDEN / "heatmap.svg").write_text(svg, encoding="utf-8")
     print(f"heatmap.svg: {len(spec.rows)} rows x {len(spec.columns)} columns")
 
-    # every match mode, partial included, of a full mock run-all
+    # every match mode, partial included, the report files and a refined run of a mock run-all
     with tempfile.TemporaryDirectory() as work:
-        (GOLDEN / "eval_report.json").write_bytes(run_all_eval_report(Path(work)))
-    print("eval_report.json: run-all on the fixture corpus")
+        out = run_all(Path(work))
+        (GOLDEN / "eval_report.json").write_bytes((out / "eval_report.json").read_bytes())
+        for name, content in run_all_pinned(out).items():
+            (GOLDEN / name).parent.mkdir(exist_ok=True)
+            (GOLDEN / name).write_bytes(content)
+    print("eval_report.json, report/, runs/negative-examples.jsonl: run-all on the fixture corpus")
 
 
 if __name__ == "__main__":

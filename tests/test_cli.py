@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import triplex
-from regen_golden import run_all_eval_report
+from regen_golden import run_all, run_all_eval_report, run_all_pinned
 from triplex.cli import main
 from triplex.prompting import PromptVariant
 
@@ -339,6 +340,48 @@ def test_run_stats_file_of_the_wrong_shape_is_fatal_and_names_file(
     assert "Traceback" not in stderr
 
 
+def test_run_record_naming_another_variant_is_fatal_and_names_file_and_line(
+    config_file, capsys
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1].replace('"zero-shot"', '"one-shot"')
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert f"corrupt run file {run}, line {len(lines)}: record names one-shot" in stderr
+
+
+def test_two_run_files_holding_one_variant_are_fatal_and_both_named(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    runs = out_dir_of(config) / "runs"
+    for suffix in (".jsonl", ".stats.json"):
+        shutil.copy(runs / f"zero-shot{suffix}", runs / f"copy{suffix}")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    message = f"run files {runs / 'copy.jsonl'} and {runs / 'zero-shot.jsonl'} both hold zero-shot"
+    assert message in capsys.readouterr().err
+
+
+def test_runs_from_two_endpoint_settings_are_not_scored_together(config_file, capsys):
+    config = config_file()
+    assert main(["run-all", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    stderr = capsys.readouterr().err
+    assert "runs few-shot and zero-shot come from different endpoint settings" in stderr
+    # a run without a sidecar records no endpoint, so it is scored with any
+    (out_dir_of(config) / "runs" / "zero-shot.stats.json").unlink()
+    assert main(["eval", "--config", str(config)]) == 0
+
+
 def test_run_record_with_an_undeclared_key_is_fatal_and_names_file_and_line(
     config_file, capsys
 ):
@@ -528,6 +571,16 @@ def test_run_all_produces_full_artifact_tree(config_file):
 def test_run_all_eval_report_matches_golden(tmp_path, golden_dir):
     # covers every match mode, the partial block included
     assert run_all_eval_report(tmp_path) == (golden_dir / "eval_report.json").read_bytes()
+
+
+def test_run_all_report_and_refined_run_match_golden(tmp_path, golden_dir):
+    # the charts, tables and report.json, and a run whose generic fields refinement replaced
+    out = run_all(tmp_path)
+    stats = json.loads((out / "runs" / "negative-examples.stats.json").read_text(encoding="utf-8"))
+    assert stats["stats"]["refined_count"] == 3
+    pinned = run_all_pinned(out)
+    assert len(pinned) == 9
+    assert pinned == {name: (golden_dir / name).read_bytes() for name in pinned}
 
 
 def test_run_all_propagates_partial_failures(config_file, corpus_with_errors_dir):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -605,6 +606,24 @@ def test_read_run_without_sidecar_recovers_triples(
     assert back.triples == run.triples
     assert back.variant is PromptVariant.ONE_SHOT
     assert back.endpoint_fingerprint == ""
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no sidecar"])
+def test_read_run_rejects_a_record_naming_another_variant(
+    bank, mock_client, small_chunks_config, corpus_dir, tmp_path, sidecar
+):
+    corpus = load_corpus(corpus_dir, limit=1)
+    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, mock_client, small_chunks_config)
+    path = tmp_path / "zero-shot.jsonl"
+    write_run(run, path)
+    if not sidecar:
+        (tmp_path / "zero-shot.stats.json").unlink()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1].replace('"zero-shot"', '"one-shot"')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"corrupt run file {path}, line {len(lines)}: record names one-shot, the run zero-shot"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        read_run(path)
 
 
 def test_write_run_is_valid_jsonl(bank, mock_client, small_chunks_config, corpus_dir, tmp_path):
