@@ -202,6 +202,11 @@ def _table_results(eval_report: dict) -> dict[str, dict[str, Metrics]]:
 def cmd_report(config: PipelineConfig) -> int:
     runs = _load_runs(config)
     table_results = read_json(config.eval_report_path, "eval report", _table_results)
+    if set(table_results) != set(runs):
+        raise ConfigurationError(
+            f"eval report {config.eval_report_path} scores {', '.join(sorted(table_results))}"
+            f" but the runs hold {', '.join(sorted(runs))}; run eval again"
+        )
     distributions = {
         name: predicate_distribution(run.triples) for name, run in runs.items()
     }

@@ -222,22 +222,17 @@ def preprocess(text: str, config: PreprocessConfig) -> str:
     """
     removal = config.removal_terms
     pieces: list[str] = []
-    pending_gap: str | None = None
+    sep = ""  # the text since the last kept token, removed tokens left out
     pos = 0
     for m in _TOKEN_RE.finditer(text):
-        gap = text[pos : m.start()]
+        sep += text[pos : m.start()]
         pos = m.end()
         token = m.group()
         if token.lower() in removal:
-            if pieces:
-                pending_gap = (pending_gap or "") + gap
             continue
         if pieces:
-            sep = (pending_gap or "") + gap
-            if config.collapse_whitespace:
-                sep = " " if sep else ""
-            pieces.append(sep)
-        pending_gap = None
+            pieces.append((" " if sep else "") if config.collapse_whitespace else sep)
+        sep = ""
         pieces.append(token.lower() if config.lowercase else token)
     return "".join(pieces)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -212,10 +213,8 @@ def _maximum_matching(
     roots = [pi for pi, golds in enumerate(adjacent) if golds]
     mate: list[int | None] = [None] * n_predicted
     owner: dict[int, int] = {}  # gold index -> its matched predicted index
-    for pi in roots:
-        gi = next((g for g in adjacent[pi] if g not in owner), None)
-        if gi is not None:
-            mate[pi], owner[gi] = gi, pi
+    for pi, gi, _ in _greedy_assignment(edges):
+        mate[pi], owner[gi] = gi, pi
     golds_with_edges = len({gi for _, gi, _ in edges})
     augmented = True
     while augmented:
@@ -364,17 +363,11 @@ def redundancy_score(
     vectors = dict(zip(predicates, embedder.embed(predicates)))
     redundant: set[int] = set()
     for indices in multi:
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                i, j = indices[a], indices[b]
-                pred_i, pred_j = triples[i].predicate, triples[j].predicate
-                if pred_i == pred_j:
-                    cosine = 1.0
-                else:
-                    cosine = vectors[pred_i].cosine(vectors[pred_j])
-                if cosine >= threshold:
-                    redundant.add(i)
-                    redundant.add(j)
+        for i, j in itertools.combinations(indices, 2):
+            pred_i, pred_j = triples[i].predicate, triples[j].predicate
+            cosine = 1.0 if pred_i == pred_j else vectors[pred_i].cosine(vectors[pred_j])
+            if cosine >= threshold:
+                redundant.update((i, j))
     return len(redundant) / len(triples)
 
 
@@ -426,7 +419,11 @@ _CSV_COLUMNS = (
 
 
 def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) -> None:
-    """Write the scoresheet as CSV with ``\\r\\n`` row endings."""
+    """Write the scoresheet as CSV with ``\\r\\n`` row endings.
+
+    A file already at ``path`` is replaced only by the same bytes, so a sheet
+    someone may have scored is never lost to another draw.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(_CSV_COLUMNS)
@@ -448,4 +445,9 @@ def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) 
                 record.comment,
             ]
         )
-    write_text(path, buffer.getvalue())
+    text, target = buffer.getvalue(), Path(path)
+    if target.is_file() and target.read_bytes() != text.encode("utf-8"):
+        raise ConfigurationError(
+            f"{target} holds a different annotation sheet; move it away to draw a new one"
+        )
+    write_text(target, text)

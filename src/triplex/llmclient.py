@@ -438,14 +438,12 @@ class HttpTransport:
 
 
 class LlmClient:
-    """Facade over a transport: bounded parallelism, latency accounting."""
+    """Facade over a transport: bounded parallelism and an embedding store."""
 
     def __init__(self, config: EndpointConfig, transport: Transport) -> None:
         self.config = config
         self.transport = transport
         self._gate = threading.Semaphore(config.max_parallel_requests)
-        self._lock = threading.Lock()
-        self.stats = {"requests": 0, "failures": 0, "total_latency_ms": 0.0}
         self._embeddings: dict[str, EmbeddingVector] = {}
 
     def __enter__(self) -> "LlmClient":
@@ -458,28 +456,12 @@ class LlmClient:
         """Close the transport's connections; call it with no request in flight."""
         self.transport.close()
 
-    def _timed(self, call, *args):
-        # latency is service time: the clock starts once the gate is passed
-        try:
-            with self._gate:
-                started = time.perf_counter()
-                result = call(*args)
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-        except Exception:
-            with self._lock:
-                self.stats["requests"] += 1
-                self.stats["failures"] += 1
-            raise
-        with self._lock:
-            self.stats["requests"] += 1
-            self.stats["total_latency_ms"] += elapsed_ms
-        return result
-
     def complete(self, prompt_text: str) -> str:
         """Send one chat request with the prompt's text."""
         if not isinstance(prompt_text, str) or not prompt_text.strip():
             raise ValueError("complete requires a non-empty prompt")
-        return self._timed(self.transport.chat, prompt_text)
+        with self._gate:
+            return self.transport.chat(prompt_text)
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """Embed each text, returning unit-length vectors in input order.
@@ -496,7 +478,8 @@ class LlmClient:
         for text in texts:
             if text in self._embeddings:
                 continue
-            raw = np.asarray(self._timed(self.transport.embed_one, text), dtype=np.float64)
+            with self._gate:
+                raw = np.asarray(self.transport.embed_one(text), dtype=np.float64)
             norm = float(np.linalg.norm(raw))
             if not np.isfinite(norm) or norm <= 0.0:
                 raise TransportError(

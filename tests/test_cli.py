@@ -533,6 +533,44 @@ def test_report_writes_bundle(config_file):
     ]
 
 
+def test_report_refuses_an_eval_report_of_other_variants(config_file, capsys):
+    config = config_file()
+    report_path = out_dir_of(config) / "eval_report.json"
+    for command in (["ingest"], ["extract", "--variant", "zero-shot"], ["eval"]):
+        assert main(command + ["--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"eval report {report_path} scores zero-shot but the runs hold " in err
+    assert "few-shot, negative-examples, one-shot, zero-shot; run eval again" in err
+    assert not (out_dir_of(config) / "report").exists()
+    # a run deleted after eval is stale the other way round
+    assert main(["eval", "--config", str(config)]) == 0
+    (out_dir_of(config) / "runs" / "one-shot.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    assert "run eval again" in capsys.readouterr().err
+    assert main(["eval", "--config", str(config)]) == 0
+    assert main(["report", "--config", str(config)]) == 0
+
+
+def test_sample_never_replaces_a_different_sheet(config_file, capsys):
+    config = config_file()
+    sample_path = out_dir_of(config) / "annotation_sample.csv"
+    for command in (["ingest"], ["extract"], ["sample", "--variant", "zero-shot"]):
+        assert main(command + ["--config", str(config)]) == 0
+    first = sample_path.read_bytes()
+    capsys.readouterr()
+    assert main(["sample", "--config", str(config), "--variant", "one-shot"]) == 2
+    err = capsys.readouterr().err
+    assert f"{sample_path} holds a different annotation sheet; move it away" in err
+    assert sample_path.read_bytes() == first
+    sample_path.rename(sample_path.with_name("zero-shot-sheet.csv"))
+    assert main(["sample", "--config", str(config), "--variant", "one-shot"]) == 0
+    assert sample_path.read_bytes() != first
+
+
 def test_sample_is_deterministic_and_capped(config_file):
     config = config_file(eval={"sample_size": 10})
     assert main(["ingest", "--config", str(config)]) == 0

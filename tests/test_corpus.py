@@ -196,6 +196,32 @@ def test_preprocess_preserves_gaps_without_collapsing():
     assert preprocess("Tariff.  The  rate", config) == "Tariff.    rate"
 
 
+@pytest.mark.parametrize(
+    ("text", "lowercase", "expected"),
+    [
+        # leading removed tokens take their gaps with them
+        ("The  Parties shall eliminate tariffs", False, "Parties  eliminate tariffs"),
+        (
+            "  the\tParties of the  Agreement  shall\n reduce duties",
+            False,
+            "Parties      \n reduce duties",
+        ),
+        # consecutive removed tokens leave every gap between the kept ones
+        ("Tariffs shall  be   the  of\tduties.", False, "Tariffs        \tduties."),
+        (
+            "Japan, the  shall exports.\n\nThe Parties",
+            True,
+            "japan,    exports.\n\n parties",
+        ),
+        # trailing removed tokens and their gaps are dropped
+        ("Tariffs  of the \n", False, "Tariffs"),
+    ],
+)
+def test_preprocess_without_collapsing_keeps_exact_gaps(text, lowercase, expected):
+    config = PreprocessConfig(lowercase=lowercase, collapse_whitespace=False)
+    assert preprocess(text, config) == expected
+
+
 def test_preprocess_lowercase_flag():
     config = PreprocessConfig(lowercase=True)
     assert preprocess("The Parties shall eliminate Tariffs", config) == "parties eliminate tariffs"

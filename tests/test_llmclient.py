@@ -161,7 +161,6 @@ def test_client_embed_fetches_each_text_once():
     a, b, a_again = client.embed(["a", "b", "a"])
     b_again, c = client.embed(["b", "c"])
     assert transport.embedded == ["a", "b", "c"]
-    assert client.stats["requests"] == 3
     assert np.array_equal(a.values, a_again.values)
     assert np.array_equal(b.values, b_again.values)
     assert np.allclose(c.values, oracle_embedding("c"))
@@ -675,15 +674,17 @@ def test_make_client_backends():
 
 
 class CountingTransport:
-    """Records the peak number of in-flight chat calls."""
+    """Records the number of chat calls and the peak number in flight."""
 
     def __init__(self):
         self._lock = threading.Lock()
+        self.calls = 0
         self.active = 0
         self.peak = 0
 
     def chat(self, prompt_text: str) -> str:
         with self._lock:
+            self.calls += 1
             self.active += 1
             self.peak = max(self.peak, self.active)
         time.sleep(0.01)
@@ -701,9 +702,7 @@ def test_client_bounds_concurrent_requests():
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda i: client.complete(f"prompt {i}"), range(16)))
     assert transport.peak <= 2
-    assert client.stats["requests"] == 16
-    assert client.stats["failures"] == 0
-    assert client.stats["total_latency_ms"] > 0
+    assert transport.calls == 16
 
 
 def test_mock_client_allows_one_request_in_flight():
@@ -716,40 +715,6 @@ def test_mock_client_allows_one_request_in_flight():
         list(pool.map(lambda i: client.complete(f"prompt {i}"), range(8)))
     assert transport.peak == 1
     assert make_client(config, "live").config.max_parallel_requests == 4
-
-
-def test_client_latency_excludes_queue_wait():
-    client = LlmClient(EndpointConfig(max_parallel_requests=1), MockTransport(seed=1))
-    calling = threading.Event()
-
-    def call():
-        calling.set()
-        client.complete(PROMPT)
-
-    client._gate.acquire()
-    worker = threading.Thread(target=call)
-    worker.start()
-    assert calling.wait(timeout=5)
-    time.sleep(0.05)
-    client._gate.release()
-    worker.join(timeout=5)
-    assert not worker.is_alive()
-    assert client.stats["requests"] == 1
-    assert client.stats["total_latency_ms"] < 25.0
-
-
-def test_client_counts_failures():
-    class FailingTransport:
-        def chat(self, prompt_text: str) -> str:
-            raise TransportError("down")
-
-        def embed_one(self, text: str):
-            return mock_embedding(text)
-
-    client = LlmClient(EndpointConfig(), FailingTransport())
-    with pytest.raises(TransportError):
-        client.complete("hello")
-    assert client.stats == {"requests": 1, "failures": 1, "total_latency_ms": 0.0}
 
 
 # ---------------------------------------------------------------------------
