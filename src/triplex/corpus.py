@@ -66,7 +66,6 @@ class AgreementDocument:
 class CorpusIndex:
     """All documents loaded from one source directory, plus load failures."""
 
-    source_dir: str
     documents: tuple[AgreementDocument, ...]
     load_errors: tuple[tuple[str, str], ...] = ()
 
@@ -105,39 +104,37 @@ def _is_unit(elem: ET.Element) -> bool:
     return bool(_UNIT_TAG_RE.search(_local_tag(elem.tag)))
 
 
-def _has_unit_descendant(elem: ET.Element) -> bool:
-    return any(_is_unit(child) or _has_unit_descendant(child) for child in elem)
-
-
 def _collect_units(
     elems: Iterable[ET.Element],
     prefix: str,
     out: list[tuple[str, str]],
     counters: dict[str, int] | None = None,
-) -> None:
+) -> bool:
     """Walk ``elems`` and their descendants collecting leaf text units.
 
     A chapter that contains articles contributes a path component; only the
     innermost article/chapter elements yield text, so no passage is counted
     twice. Units are numbered per tag under their nearest enclosing unit: a
     non-unit wrapper shares its parent's ``counters``, so no two units get
-    the same path.
+    the same path. Returns whether the walk met a unit, blank ones included.
     """
     counters = {} if counters is None else counters
+    met = False
     for elem in elems:
         if _is_unit(elem):
+            met = True
             tag = _local_tag(elem.tag)
             counters[tag] = counters.get(tag, 0) + 1
             label = f"{tag}:{counters[tag]:03d}"
             path = f"{prefix}/{label}" if prefix else label
-            if _has_unit_descendant(elem):
-                _collect_units(elem, path, out)
-            else:
+            # a unit holding units yields theirs; only a leaf unit yields its own text
+            if not _collect_units(elem, path, out):
                 text = "".join(elem.itertext())
                 if text.strip():
                     out.append((path, text))
-        else:
-            _collect_units(elem, prefix, out, counters)
+        elif _collect_units(elem, prefix, out, counters):
+            met = True
+    return met
 
 
 def _tag_texts(root: ET.Element, word: str) -> list[str]:
@@ -205,11 +202,7 @@ def load_corpus(source_dir: str | Path, limit: int | None = None) -> CorpusIndex
         except OSError as exc:
             errors.append((path.name, f"read error: {exc}"))
     documents.sort(key=lambda d: d.doc_id)
-    return CorpusIndex(
-        source_dir=str(directory),
-        documents=tuple(documents),
-        load_errors=tuple(errors),
-    )
+    return CorpusIndex(documents=tuple(documents), load_errors=tuple(errors))
 
 
 def preprocess(text: str, config: PreprocessConfig) -> str:
@@ -319,12 +312,12 @@ def _document_record(doc: AgreementDocument) -> dict:
 def _document(record: dict) -> AgreementDocument:
     return AgreementDocument(
         doc_id=record["doc_id"],
-        party_a=record.get("party_a"),
-        party_b=record.get("party_b"),
-        sectors=tuple(record.get("sectors", ())),
+        party_a=record["party_a"],
+        party_b=record["party_b"],
+        sectors=tuple(record["sectors"]),
         articles=tuple(
-            ArticleUnit(a["article_id"], raw_text="", clean_text=a.get("clean_text", ""))
-            for a in record.get("articles", ())
+            ArticleUnit(a["article_id"], raw_text="", clean_text=a["clean_text"])
+            for a in record["articles"]
         ),
     )
 
@@ -341,4 +334,4 @@ def read_corpus_jsonl(path: str | Path) -> CorpusIndex:
     """
     documents = read_jsonl(path, "corpus cache", _document)
     documents.sort(key=lambda d: d.doc_id)
-    return CorpusIndex(source_dir=str(Path(path)), documents=tuple(documents))
+    return CorpusIndex(documents=tuple(documents))

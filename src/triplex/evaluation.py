@@ -23,6 +23,7 @@ import io
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .errors import ConfigurationError
-from .extraction import ExtractionRun, Triple
+from .extraction import _FIELD_NAMES, ExtractionRun, Triple
 from .gold import GoldTriple
 
 __all__ = [
@@ -144,8 +145,7 @@ def metrics_from(result: MatchResult, n_predicted: int, n_gold: int) -> Metrics:
     return Metrics(precision=precision, recall=recall, f1=f1_score(precision, recall))
 
 
-def _fields(triple) -> tuple[str, str, str]:
-    return (triple.subject, triple.predicate, triple.object)
+_fields = attrgetter(*_FIELD_NAMES)
 
 
 def _eligible_edges(
@@ -309,11 +309,6 @@ class PredicateDistribution:
         if self.total != sum(self.counts.values()):
             raise ValueError("distribution total does not match counts")
 
-    def probabilities(self) -> dict[str, float]:
-        if self.total == 0:
-            return {}
-        return {k: v / self.total for k, v in self.counts.items()}
-
 
 def predicate_distribution(triples: Iterable) -> PredicateDistribution:
     counts: dict[str, int] = {}
@@ -405,17 +400,10 @@ def sample_for_annotation(run: ExtractionRun, n: int, seed: int) -> list[Annotat
     return [AnnotationRecord(triple=triples[i]) for i in chosen]
 
 
-_CSV_COLUMNS = (
-    "subject",
-    "predicate",
-    "object",
-    "doc_id",
-    "article_id",
-    "chunk_index",
-    "variant",
-    *ANNOTATION_METRICS,
-    "comment",
-)
+# the scoresheet's columns: the triple's, one per quality dimension, then a comment
+_TRIPLE_COLUMNS = (*_FIELD_NAMES, "doc_id", "article_id", "chunk_index", "variant")
+_CSV_COLUMNS = (*_TRIPLE_COLUMNS, *ANNOTATION_METRICS, "comment")
+_triple_cells = attrgetter(*_TRIPLE_COLUMNS)
 
 
 def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) -> None:
@@ -428,23 +416,10 @@ def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) 
     writer = csv.writer(buffer)
     writer.writerow(_CSV_COLUMNS)
     for record in records:
-        t = record.triple
-        writer.writerow(
-            [
-                t.subject,
-                t.predicate,
-                t.object,
-                t.doc_id,
-                t.article_id,
-                t.chunk_index,
-                t.variant.value,
-                *[
-                    "" if record.scores.get(m) is None else record.scores[m]
-                    for m in ANNOTATION_METRICS
-                ],
-                record.comment,
-            ]
-        )
+        *cells, variant = _triple_cells(record.triple)
+        scores = [record.scores.get(m) for m in ANNOTATION_METRICS]
+        scores = ["" if score is None else score for score in scores]
+        writer.writerow([*cells, variant.value, *scores, record.comment])
     text, target = buffer.getvalue(), Path(path)
     if target.is_file() and target.read_bytes() != text.encode("utf-8"):
         raise ConfigurationError(

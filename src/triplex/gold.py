@@ -17,13 +17,11 @@ from typing import NamedTuple
 
 from .artifacts import read_text
 from .errors import GoldValidationError
-from .extraction import normalize_field
+from .extraction import _FIELD_NAMES, normalize_field
 
 __all__ = ["GoldTriple", "GoldSet", "load_gold"]
 
 logger = logging.getLogger(__name__)
-
-_REQUIRED_COLUMNS = ("subject", "predicate", "object")
 
 
 class GoldTriple(NamedTuple):
@@ -42,12 +40,6 @@ class GoldSet:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    @property
-    def entities(self) -> frozenset[str]:
-        return frozenset(t.subject for t in self.triples) | frozenset(
-            t.object for t in self.triples
-        )
 
 
 def load_gold(path: str | Path) -> GoldSet:
@@ -77,13 +69,13 @@ def load_gold(path: str | Path) -> GoldSet:
     header_number, header_line = data_lines[0]
     header = next(csv.reader(io.StringIO(header_line)))
     columns = [c.strip().lower() for c in header]
-    missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
+    missing = [c for c in _FIELD_NAMES if c not in columns]
     if missing:
         raise GoldValidationError(
             f"gold file {source} header (row {header_number}) lacks columns: "
             f"{', '.join(missing)}"
         )
-    idx = {c: columns.index(c) for c in _REQUIRED_COLUMNS}
+    idx = {c: columns.index(c) for c in _FIELD_NAMES}
 
     triples: list[GoldTriple] = []
     seen: set[GoldTriple] = set()
@@ -93,12 +85,12 @@ def load_gold(path: str | Path) -> GoldSet:
         row = next(csv.reader(io.StringIO(line)))
         if len(row) < len(columns):
             row = row + [""] * (len(columns) - len(row))
-        fields = {name: normalize_field(row[idx[name]]) for name in _REQUIRED_COLUMNS}
-        empty = [name for name in _REQUIRED_COLUMNS if not fields[name]]
+        fields = {name: normalize_field(row[idx[name]]) for name in _FIELD_NAMES}
+        empty = [name for name in _FIELD_NAMES if not fields[name]]
         if empty:
             empty_rows.append(f"row {number}: empty {', '.join(empty)}")
             continue
-        triple = GoldTriple(fields["subject"], fields["predicate"], fields["object"])
+        triple = GoldTriple(**fields)
         if triple in seen:
             duplicates += 1
             logger.warning("gold file %s row %d duplicates %s", source, number, triple)

@@ -40,6 +40,8 @@ ENDPOINT_ENV_VAR = "TRIPLEX_ENDPOINT"
 
 _TRIGRAM_SALT = b"triplex-mock-embed-v1:"
 _BACKOFF_BASE_S = 0.25
+# a 4xx that asks for the same request later: request timeout, too many requests
+_RETRIED_CLIENT_ERRORS = (408, 429)
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
 
@@ -124,7 +126,6 @@ class EmbeddingVector:
     """A unit-length embedding."""
 
     values: np.ndarray
-    dimension: int
 
     def cosine(self, other: "EmbeddingVector") -> float:
         return float(np.clip(np.dot(self.values, other.values), -1.0, 1.0))
@@ -320,8 +321,8 @@ class HttpTransport:
     Requests share a pool of keep-alive connections to the endpoint: each
     borrows an idle one, or opens one, and returns it once the exchange
     succeeds, so the connections open never outnumber the requests in
-    flight. A 3xx or 4xx reply is fatal; a connection error, a timeout, a
-    5xx or a reply that is not JSON is retried.
+    flight. A 3xx or 4xx reply is fatal, but for a 408 or a 429, which is
+    retried like a connection error, a timeout, a 5xx or a reply that is not JSON.
     """
 
     def __init__(self, config: EndpointConfig, sleeper=time.sleep) -> None:
@@ -384,6 +385,9 @@ class HttpTransport:
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
+            if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
+                last_error = TransportError(f"status {status} from {url}")
+                continue
             if 300 <= status < 400:
                 raise ConfigurationError(
                     f"endpoint redirected request ({status}) for {url}; redirects are not "
@@ -394,9 +398,6 @@ class HttpTransport:
                     f"endpoint rejected request ({status}): "
                     f"{data.decode('utf-8', 'replace')[:200]}"
                 )
-            if status >= 500:
-                last_error = TransportError(f"server error {status} from {url}")
-                continue
             try:
                 return json.loads(data)
             except ValueError as exc:
@@ -485,7 +486,7 @@ class LlmClient:
                 raise TransportError(
                     f"embedding for {text[:40]!r} has invalid norm {norm}"
                 )
-            self._embeddings[text] = EmbeddingVector(values=raw / norm, dimension=raw.size)
+            self._embeddings[text] = EmbeddingVector(values=raw / norm)
         return [self._embeddings[text] for text in texts]
 
 

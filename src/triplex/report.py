@@ -28,15 +28,9 @@ __all__ = [
 
 VARIANT_ORDER = tuple(variant.value for variant in PromptVariant)
 
-_MODE_ROWS = (
-    ("exact", "precision"),
-    ("exact", "recall"),
-    ("exact", "f1"),
-    ("semantic", "precision"),
-    ("semantic", "recall"),
-    ("semantic", "f1"),
-)
+# the table's rows: each mode's title, then one row per metric under it
 _MODE_TITLES = {"exact": "Exact match", "semantic": "Semantic match"}
+_METRIC_LABELS = {"precision": "Precision", "recall": "Recall", "f1": "F1"}
 
 
 def _ordered_variants(results: Mapping[str, object]) -> list[str]:
@@ -56,54 +50,38 @@ def metrics_table(results: Mapping[str, Mapping[str, Metrics]]) -> tuple[str, st
     if not variants:
         raise ValueError("metrics_table requires at least one variant")
 
-    csv_lines = ["metric," + ",".join(variants)]
-    for mode, metric in _MODE_ROWS:
-        cells = [f"{getattr(results[v][mode], metric):.2f}" for v in variants]
-        csv_lines.append(f"{mode}_{metric}," + ",".join(cells))
-    csv_text = "\n".join(csv_lines) + "\n"
-
-    label_width = max(len("  " + m.capitalize()) for _, m in _MODE_ROWS)
-    label_width = max(label_width, *(len(t) for t in _MODE_TITLES.values()))
     col_width = max(8, *(len(v) for v in variants))
-    header = " " * label_width + "  " + "  ".join(v.rjust(col_width) for v in variants)
-    lines = [header]
-    for mode in ("exact", "semantic"):
-        lines.append(_MODE_TITLES[mode])
-        for metric in ("precision", "recall", "f1"):
-            label = ("  " + (metric.upper() if metric == "f1" else metric.capitalize())).ljust(
-                label_width
-            )
-            cells = "  ".join(
-                f"{getattr(results[v][mode], metric):.2f}".rjust(col_width)
-                for v in variants
-            )
-            lines.append(f"{label}  {cells}")
-    text = "\n".join(lines) + "\n"
-    return csv_text, text
+    label_width = max(
+        *(len(title) for title in _MODE_TITLES.values()),
+        *(len("  " + label) for label in _METRIC_LABELS.values()),
+    )
+    csv_lines = ["metric," + ",".join(variants)]
+    lines = [" " * label_width + "  " + "  ".join(v.rjust(col_width) for v in variants)]
+    for mode, title in _MODE_TITLES.items():
+        lines.append(title)
+        for metric, label in _METRIC_LABELS.items():
+            cells = [f"{getattr(results[v][mode], metric):.2f}" for v in variants]
+            csv_lines.append(f"{mode}_{metric}," + ",".join(cells))
+            aligned = "  ".join(cell.rjust(col_width) for cell in cells)
+            lines.append(f"{('  ' + label).ljust(label_width)}  {aligned}")
+    return "\n".join(csv_lines) + "\n", "\n".join(lines) + "\n"
 
 
 def parse_metrics_csv(csv_text: str) -> dict[str, dict[str, Metrics]]:
     """Inverse of the CSV half of :func:`metrics_table` (2-decimal values)."""
     lines = [line for line in csv_text.splitlines() if line.strip()]
-    header = lines[0].split(",")
-    variants = header[1:]
-    values: dict[str, dict[str, float]] = {v: {} for v in variants}
+    variants = lines[0].split(",")[1:]
+    rows: dict[str, dict[str, float]] = {}
     for line in lines[1:]:
-        cells = line.split(",")
-        metric_name = cells[0]
-        for variant, cell in zip(variants, cells[1:]):
-            values[variant][metric_name] = float(cell)
-    out: dict[str, dict[str, Metrics]] = {}
-    for variant, metric_values in values.items():
-        out[variant] = {
-            mode: Metrics(
-                precision=metric_values[f"{mode}_precision"],
-                recall=metric_values[f"{mode}_recall"],
-                f1=metric_values[f"{mode}_f1"],
-            )
-            for mode in ("exact", "semantic")
+        name, *cells = line.split(",")
+        rows[name] = dict(zip(variants, map(float, cells)))
+    return {
+        variant: {
+            mode: Metrics(**{m: rows[f"{mode}_{m}"][variant] for m in _METRIC_LABELS})
+            for mode in _MODE_TITLES
         }
-    return out
+        for variant in variants
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +252,11 @@ def write_report_bundle(
     heatmap_spec: HeatmapSpec,
     frequency_top_k: int,
 ) -> list[Path]:
-    """Write metrics.csv/.txt, per-variant frequency charts, heatmap.svg, report.json."""
+    """Write metrics.csv/.txt, per-variant frequency charts, heatmap.svg, report.json.
+
+    A ``freq_*.svg`` in ``out_dir`` that this call did not write is deleted, so
+    the directory holds the files ``report.json`` lists and no other chart.
+    """
     out = Path(out_dir)
     csv_text, table_text = metrics_table(table_results)
     files = {"metrics.csv": csv_text, "metrics.txt": table_text}
@@ -286,14 +268,13 @@ def write_report_bundle(
     files["heatmap.svg"] = heatmap(heatmap_spec, title="Predicate frequency by run")
     for name, content in files.items():
         write_text(out / name, content)
+    for stale in out.glob("freq_*.svg"):
+        if stale.name not in files:
+            stale.unlink()
     bundle = {
         "metrics": {
             variant: {
-                mode: {
-                    "precision": round(m.precision, 6),
-                    "recall": round(m.recall, 6),
-                    "f1": round(m.f1, 6),
-                }
+                mode: {metric: round(getattr(m, metric), 6) for metric in _METRIC_LABELS}
                 for mode, m in modes.items()
             }
             for variant, modes in table_results.items()

@@ -7,6 +7,7 @@ Run after an intentional behavior change, then review the diff:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -23,10 +24,10 @@ TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden"
 
 
-def run_all(work_dir: Path) -> Path:
-    """Run a mock ``run-all`` over the fixture corpus; returns its output directory."""
+def run_all(work_dir: Path, corpus_dir: Path = TESTS / "fixtures" / "corpus") -> Path:
+    """Run a mock ``run-all`` over ``corpus_dir``; returns its output directory."""
     settings = {
-        "corpus": {"source_dir": str(TESTS / "fixtures" / "corpus"), "max_chunk_chars": 600},
+        "corpus": {"source_dir": str(corpus_dir), "max_chunk_chars": 600},
         "output_dir": str(work_dir / "out"),
         "endpoint": {"seed": 42},
         "eval": {"seed": 42},
@@ -42,6 +43,21 @@ def run_all(work_dir: Path) -> Path:
 def run_all_eval_report(work_dir: Path) -> bytes:
     """``eval_report.json`` of a mock ``run-all`` over the fixture corpus."""
     return (run_all(work_dir) / "eval_report.json").read_bytes()
+
+
+def quickstart_manifest(work_dir: Path) -> str:
+    """``sha256sum`` lines for the README quick start's tree: ``run-all``, then ``sample``.
+
+    The paths start with ``out/``, so ``sha256sum -c`` checks them from ``work_dir``.
+    """
+    out = run_all(work_dir, TESTS.parent / "demos" / "data")
+    argv = ["sample", "--variant", "negative-examples", "--config", str(work_dir / "config.json")]
+    if cli_main(argv) != 0:
+        raise RuntimeError("sample failed")
+    names = sorted(p.relative_to(work_dir).as_posix() for p in out.rglob("*") if p.is_file())
+    return "".join(
+        f"{hashlib.sha256((work_dir / name).read_bytes()).hexdigest()}  {name}\n" for name in names
+    )
 
 
 def run_all_pinned(out: Path) -> dict[str, bytes]:
@@ -81,6 +97,11 @@ def main() -> None:
             (GOLDEN / name).parent.mkdir(exist_ok=True)
             (GOLDEN / name).write_bytes(content)
     print("eval_report.json, report/, runs/negative-examples.jsonl: run-all on the fixture corpus")
+
+    with tempfile.TemporaryDirectory() as work:
+        manifest = quickstart_manifest(Path(work))
+    (GOLDEN / "quickstart.sha256").write_text(manifest, encoding="utf-8", newline="")
+    print(f"quickstart.sha256: {len(manifest.splitlines())} files of the README quick start")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import triplex
-from regen_golden import run_all, run_all_eval_report, run_all_pinned
+from regen_golden import quickstart_manifest, run_all, run_all_eval_report, run_all_pinned
 from triplex.cli import main
 from triplex.prompting import PromptVariant
 
@@ -264,6 +264,23 @@ def test_truncated_corpus_cache_is_fatal_and_names_file_and_line(config_file, ca
     capsys.readouterr()
     assert main(["extract", "--config", str(config)]) == 2
     assert f"corrupt corpus cache {cache}, line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["party_a", "party_b", "sectors", "articles", "clean_text"])
+def test_corpus_cache_record_lacking_a_key_is_fatal_and_names_file_and_line(
+    config_file, capsys, key
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    cache = out_dir_of(config) / "corpus.jsonl"
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    del (record["articles"][0] if key == "clean_text" else record)[key]
+    lines[1] = json.dumps(record)
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config)]) == 2
+    assert f"corrupt corpus cache {cache}, line 2: KeyError('{key}')" in capsys.readouterr().err
 
 
 def test_truncated_run_file_is_fatal_and_names_file_and_line(config_file, capsys):
@@ -531,6 +548,14 @@ def test_report_writes_bundle(config_file):
         "metrics.txt",
         "report.json",
     ]
+    # a run deleted since leaves no chart behind: the files are those report.json lists
+    for path in (out_dir_of(config) / "runs").glob("one-shot.*"):
+        path.unlink()
+    for command in (["eval"], ["report"]):
+        assert main(command + ["--config", str(config)]) == 0
+    listed = json.loads((report_dir / "report.json").read_text(encoding="utf-8"))["files"]
+    assert sorted(p.name for p in report_dir.iterdir()) == listed
+    assert listed == [name for name in names if name != "freq_one-shot.svg"]
 
 
 def test_report_refuses_an_eval_report_of_other_variants(config_file, capsys):
@@ -619,6 +644,12 @@ def test_run_all_report_and_refined_run_match_golden(tmp_path, golden_dir):
     pinned = run_all_pinned(out)
     assert len(pinned) == 9
     assert pinned == {name: (golden_dir / name).read_bytes() for name in pinned}
+
+
+def test_readme_quick_start_tree_matches_its_manifest(tmp_path, golden_dir):
+    manifest = quickstart_manifest(tmp_path)
+    assert len(manifest.splitlines()) == 19
+    assert manifest == (golden_dir / "quickstart.sha256").read_text(encoding="utf-8")
 
 
 def test_run_all_propagates_partial_failures(config_file, corpus_with_errors_dir):

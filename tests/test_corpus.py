@@ -114,6 +114,9 @@ def test_root_element_that_is_a_unit_is_labelled_like_any_unit(tmp_path):
         encoding="utf-8",
     )
     (tmp_path / "c-empty.xml").write_text("<article>  \n </article>", encoding="utf-8")
+    (tmp_path / "d-blank-article.xml").write_text(
+        "<chapter><heading>Goods</heading><article> </article></chapter>", encoding="utf-8"
+    )
     by_id = {d.doc_id: d for d in load_corpus(tmp_path).documents}
     # a leaf root is the document's single unit, holding all of its text
     assert [(a.article_id, a.raw_text) for a in by_id["a-leaf"].articles] == [
@@ -125,6 +128,8 @@ def test_root_element_that_is_a_unit_is_labelled_like_any_unit(tmp_path):
         ("chapter:001/article:002", "Quotas are abolished."),
     ]
     assert by_id["c-empty"].articles == ()
+    # a unit holding only blank units yields nothing, not its own text
+    assert by_id["d-blank-article"].articles == ()
 
 
 def test_units_under_a_non_unit_wrapper_continue_their_parents_numbering(tmp_path):

@@ -348,8 +348,6 @@ def test_predicate_distribution_counts():
     dist = predicate_distribution([T("a", "signed", "b"), T("c", "signed", "d"), T("e", "grants", "f")])
     assert dist.counts == {"signed": 2, "grants": 1}
     assert dist.total == 3
-    assert dist.probabilities() == {"signed": pytest.approx(2 / 3), "grants": pytest.approx(1 / 3)}
-    assert predicate_distribution([]).probabilities() == {}
 
 
 def test_divergence_hand_computed_values():

@@ -384,7 +384,7 @@ def test_refinement_only_runs_for_the_negative_variant(
 
 
 def test_empty_corpus_returns_empty_run(bank, mock_client, small_chunks_config):
-    corpus = CorpusIndex(source_dir="empty", documents=())
+    corpus = CorpusIndex(documents=())
     run = run_extraction(
         corpus, PromptVariant.ZERO_SHOT, bank, mock_client, small_chunks_config
     )
@@ -448,7 +448,6 @@ def test_complex_predicate_counter(bank, small_chunks_config, corpus_dir):
 def synthetic_corpus(texts) -> CorpusIndex:
     """One single-article document per text, already cleaned."""
     return CorpusIndex(
-        source_dir="synthetic",
         documents=tuple(
             AgreementDocument(
                 doc_id=f"doc-{i:03d}",

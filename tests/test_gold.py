@@ -39,15 +39,6 @@ def test_byte_order_mark_is_ignored(tmp_path):
     assert load_gold(write_gold(tmp_path, "\ufeff" + body, "bom.csv")) == plain
 
 
-def test_entities_union_subjects_and_objects(tmp_path):
-    path = write_gold(
-        tmp_path,
-        "subject,predicate,object\nJapan,signed,the Protocol\nThailand,ratifies,the Protocol\n",
-    )
-    gold = load_gold(path)
-    assert gold.entities == frozenset({"japan", "thailand", "the protocol"})
-
-
 def test_fields_are_normalized_like_predictions(tmp_path):
     path = write_gold(
         tmp_path,

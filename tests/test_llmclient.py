@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from triplex import cli
+from triplex.corpus import load_corpus
 from triplex.errors import ConfigurationError, TransportError
-from triplex.extraction import parse_triples
+from triplex.extraction import parse_triples, run_extraction
 from triplex.llmclient import (
     EMBEDDING_DIM,
     EMPTY_CASE_TOKEN,
@@ -30,6 +31,7 @@ from triplex.llmclient import (
     make_client,
     mock_embedding,
 )
+from triplex.prompting import PromptVariant
 
 PROMPT = "Extract triples.\n\nText:\nJapan shall eliminate customs duties of Thailand."
 
@@ -125,7 +127,7 @@ def test_client_embed_returns_unit_vectors_in_order(mock_client):
     vectors = mock_client.embed(texts)
     assert len(vectors) == 3
     for text, vector in zip(texts, vectors):
-        assert vector.dimension == EMBEDDING_DIM
+        assert vector.values.shape == (EMBEDDING_DIM,)
         assert float(np.linalg.norm(vector.values)) == pytest.approx(1.0, abs=1e-9)
         assert vector.cosine(vector) == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(vector.values, oracle_embedding(text))
@@ -287,11 +289,14 @@ def _payload(request: dict) -> dict:
 
 
 def test_http_chat_recovers_after_server_errors(serve):
-    server = serve(Reply(500), Reply(502), Reply(200, {"message": {"content": "(A | b | C)"}}))
+    # a 5xx, a 429 (too many requests) and a 408 (request timeout) are each retried
+    server = serve(
+        Reply(502), Reply(429), Reply(408), Reply(200, {"message": {"content": "(A | b | C)"}})
+    )
     transport, sleeps = _transport(server)
     assert transport.chat("hello") == "(A | b | C)"
-    assert len(server.requests) == 3
-    assert sleeps == [0.25, 0.5]  # exponential backoff between attempts
+    assert len(server.requests) == 4
+    assert sleeps == [0.25, 0.5, 1.0]  # exponential backoff between attempts
 
 
 def test_http_chat_client_error_is_fatal_and_not_retried(serve):
@@ -317,12 +322,26 @@ def test_http_redirect_is_fatal_and_not_followed(serve, status):
 
 
 def test_http_chat_exhausted_retries_raise_transport_error(serve):
-    server = serve(Reply(500), Reply(500))
+    server = serve(Reply(500), Reply(429))
     transport, _ = _transport(server, max_retries=1)
     with pytest.raises(TransportError) as excinfo:
         transport.chat("hello")
-    assert "2 attempts" in str(excinfo.value)
+    assert "2 attempts: status 429 from " in str(excinfo.value)
     assert len(server.requests) == 2
+
+
+def test_live_extract_fails_only_the_chunk_a_run_of_429s_answers(
+    serve, bank, corpus_dir, small_chunks_config
+):
+    server = serve(*[Reply(429)] * 2, *[ECHO] * 200)
+    config = EndpointConfig(base_url=server.url, max_retries=1, max_parallel_requests=1)
+    transport = HttpTransport(config, sleeper=lambda _: None)
+    server.transports.append(transport)
+    corpus = load_corpus(corpus_dir, limit=1)
+    client = LlmClient(config, transport)
+    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    assert run.stats["chunks_failed"] == 1
+    assert run.stats["chunks_processed"] == len(server.requests) - 2 > 0
 
 
 def test_http_chat_retries_connection_errors_and_bad_json(serve):
