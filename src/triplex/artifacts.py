@@ -34,7 +34,9 @@ T = TypeVar("T")
 _CORRUPT = (ValueError, KeyError, TypeError, AttributeError, ConfigurationError)
 # json.dumps(record, ensure_ascii=False), without building an encoder per record
 _JSONL_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_JSON_TYPES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object",
+}
 
 
 def write_text(path: str | Path, text: str) -> None:

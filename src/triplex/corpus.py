@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl, typed, write_jsonl
 from .defaults import default_filler_terms, default_stopwords
 from .errors import ConfigurationError
 
@@ -310,14 +310,19 @@ def _document_record(doc: AgreementDocument) -> dict:
 
 
 def _document(record: dict) -> AgreementDocument:
+    """The document one cache line holds; each key must be present and of its field's type."""
     return AgreementDocument(
-        doc_id=record["doc_id"],
-        party_a=record["party_a"],
-        party_b=record["party_b"],
-        sectors=tuple(record["sectors"]),
+        doc_id=typed("doc_id", record["doc_id"], str),
+        party_a=typed("party_a", record["party_a"], str | None),
+        party_b=typed("party_b", record["party_b"], str | None),
+        sectors=typed("sectors", record["sectors"], tuple[str, ...]),
         articles=tuple(
-            ArticleUnit(a["article_id"], raw_text="", clean_text=a["clean_text"])
-            for a in record["articles"]
+            ArticleUnit(
+                typed(f"articles[{i}].article_id", a["article_id"], str),
+                raw_text="",
+                clean_text=typed(f"articles[{i}].clean_text", a["clean_text"], str),
+            )
+            for i, a in enumerate(typed("articles", record["articles"], tuple[dict, ...]))
         ),
     )
 

@@ -8,6 +8,7 @@ seed, which makes every pipeline run on it reproducible bit for bit.
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import http.client
 import json
@@ -17,7 +18,9 @@ import re
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -43,6 +46,29 @@ _BACKOFF_BASE_S = 0.25
 # a 4xx that asks for the same request later: request timeout, too many requests
 _RETRIED_CLIENT_ERRORS = (408, 429)
 _JSON_HEADERS = {"Content-Type": "application/json"}
+_RETRY_AFTER_CAP_S = 30.0
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    """The wait a ``Retry-After`` header asks for, at most 30 s; None if absent or unparsable.
+
+    The value is delta-seconds or an HTTP-date (RFC 9110 §10.2.3); a date in
+    the past asks for no wait.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if re.fullmatch(r"[0-9]+", value):
+        seconds = float(value)
+    else:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": UTC, by RFC 5322
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
+    return min(seconds, _RETRY_AFTER_CAP_S)
 
 
 class _Wire(NamedTuple):
@@ -323,6 +349,8 @@ class HttpTransport:
     succeeds, so the connections open never outnumber the requests in
     flight. A 3xx or 4xx reply is fatal, but for a 408 or a 429, which is
     retried like a connection error, a timeout, a 5xx or a reply that is not JSON.
+    A retried status that carries ``Retry-After`` waits what it asks, at most
+    30 s, instead of the backoff step.
     """
 
     def __init__(self, config: EndpointConfig, sleeper=time.sleep) -> None:
@@ -350,8 +378,8 @@ class HttpTransport:
         while self._idle:
             self._idle.pop().close()
 
-    def _post(self, target: str, body: bytes) -> tuple[int, bytes]:
-        """POST ``body`` on a pooled connection; return the status and reply bytes."""
+    def _post(self, target: str, body: bytes) -> tuple[int, bytes, str | None]:
+        """POST ``body`` on a pooled connection; return the status, reply bytes and Retry-After."""
         try:
             connection = self._idle.pop()
         except IndexError:
@@ -364,7 +392,7 @@ class HttpTransport:
             try:
                 connection.request("POST", target, body, _JSON_HEADERS)
                 response = connection.getresponse()
-                reply = response.status, response.read()
+                reply = response.status, response.read(), response.getheader("Retry-After")
             except BaseException as exc:
                 connection.close()  # its state is unknown; a resend opens a fresh socket
                 if not (resend and isinstance(exc, ConnectionError)):
@@ -377,16 +405,19 @@ class HttpTransport:
         url = self._origin + target
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
+        wait_s = None  # what the last reply's Retry-After asked for
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                self._sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1))
+                self._sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1) if wait_s is None else wait_s)
+            wait_s = None
             try:
-                status, data = self._post(target, body)
+                status, data, retry_after = self._post(target, body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
             if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
                 last_error = TransportError(f"status {status} from {url}")
+                wait_s = _retry_after_s(retry_after)
                 continue
             if 300 <= status < 400:
                 raise ConfigurationError(
@@ -468,7 +499,9 @@ class LlmClient:
         """Embed each text, returning unit-length vectors in input order.
 
         Vectors are kept for the life of the client, so the transport sees
-        each distinct text once.
+        each distinct text once. The texts not yet seen are fetched on up to
+        ``max_parallel_requests`` threads; with a bound of one (every mock
+        client) they are fetched in order on the calling thread.
         """
         if not texts:
             raise ValueError("embed requires a non-empty list of texts")
@@ -476,18 +509,53 @@ class LlmClient:
             if not isinstance(text, str) or not text.strip():
                 raise ValueError(f"embed text at index {i} is empty")
         # unlocked: a text two threads embed at once is fetched twice, harmlessly
-        for text in texts:
-            if text in self._embeddings:
-                continue
-            with self._gate:
-                raw = np.asarray(self.transport.embed_one(text), dtype=np.float64)
-            norm = float(np.linalg.norm(raw))
-            if not np.isfinite(norm) or norm <= 0.0:
-                raise TransportError(
-                    f"embedding for {text[:40]!r} has invalid norm {norm}"
-                )
-            self._embeddings[text] = EmbeddingVector(values=raw / norm)
+        unseen = [text for text in dict.fromkeys(texts) if text not in self._embeddings]
+        workers = min(self.config.max_parallel_requests, len(unseen))
+        if workers <= 1:
+            for text in unseen:
+                self._fetch(text)
+        else:
+            self._fetch_parallel(unseen, workers)
         return [self._embeddings[text] for text in texts]
+
+    def _fetch(self, text: str) -> None:
+        """Fetch ``text``'s embedding through the gate and keep it, unit length."""
+        with self._gate:
+            raw = np.asarray(self.transport.embed_one(text), dtype=np.float64)
+        norm = float(np.linalg.norm(raw))
+        if not np.isfinite(norm) or norm <= 0.0:
+            raise TransportError(f"embedding for {text[:40]!r} has invalid norm {norm}")
+        self._embeddings[text] = EmbeddingVector(values=raw / norm)
+
+    def _fetch_parallel(self, texts: list[str], workers: int) -> None:
+        """Fetch ``texts`` on ``workers`` threads, each taking the next text in order.
+
+        After a text fails no worker takes another, and the error raised is
+        that of the first failing text in input order, as a serial loop's
+        would be.
+        """
+        pending = iter(enumerate(texts))
+        take = threading.Lock()
+        failures: dict[int, BaseException] = {}
+
+        def drain(_worker: int) -> None:
+            while True:
+                with take:
+                    item = None if failures else next(pending, None)
+                if item is None:
+                    return
+                index, text = item
+                try:
+                    self._fetch(text)
+                except BaseException as exc:
+                    with take:
+                        failures[index] = exc
+                    return
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(drain, range(workers)))
+        if failures:
+            raise failures[min(failures)]
 
 
 def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:

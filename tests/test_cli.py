@@ -283,6 +283,32 @@ def test_corpus_cache_record_lacking_a_key_is_fatal_and_names_file_and_line(
     assert f"corrupt corpus cache {cache}, line 2: KeyError('{key}')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("clean_text", 5, "articles[0].clean_text must be a string, got 5"),
+        ("sectors", "agri", 'sectors must be a list of strings, got "agri"'),
+        ("party_a", ["Chile"], 'party_a must be a string or null, got ["Chile"]'),
+        ("articles", {"article_id": "a"}, "articles must be a list of objects, got {"),
+    ],
+    ids=["clean_text", "sectors", "party_a", "articles"],
+)
+def test_corpus_cache_value_of_the_wrong_type_is_fatal_and_names_the_key(
+    config_file, capsys, key, value, message
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    cache = out_dir_of(config) / "corpus.jsonl"
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    (record["articles"][0] if key == "clean_text" else record)[key] = value
+    lines[1] = json.dumps(record)
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config)]) == 2
+    assert f"corrupt corpus cache {cache}, line 2: {message}" in capsys.readouterr().err
+
+
 def test_truncated_run_file_is_fatal_and_names_file_and_line(config_file, capsys):
     config = config_file()
     assert main(["ingest", "--config", str(config)]) == 0

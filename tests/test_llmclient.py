@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
 import os
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -157,12 +160,16 @@ def test_client_embed_rejects_empty_inputs():
     assert transport.embedded == []
 
 
-def test_client_embed_fetches_each_text_once():
+@pytest.mark.parametrize("workers", [1, 4])
+def test_client_embed_fetches_each_text_once(workers):
     transport = EmbedCountingTransport()
-    client = LlmClient(EndpointConfig(), transport)
+    client = LlmClient(EndpointConfig(max_parallel_requests=workers), transport)
     a, b, a_again = client.embed(["a", "b", "a"])
     b_again, c = client.embed(["b", "c"])
-    assert transport.embedded == ["a", "b", "c"]
+    if workers == 1:
+        assert transport.embedded == ["a", "b", "c"]
+    else:  # the order among parallel fetches is not defined
+        assert Counter(transport.embedded) == Counter("abc")
     assert np.array_equal(a.values, a_again.values)
     assert np.array_equal(b.values, b_again.values)
     assert np.allclose(c.values, oracle_embedding("c"))
@@ -328,6 +335,52 @@ def test_http_chat_exhausted_retries_raise_transport_error(serve):
         transport.chat("hello")
     assert "2 attempts: status 429 from " in str(excinfo.value)
     assert len(server.requests) == 2
+
+
+def _http_date(offset_s: float) -> str:
+    return email.utils.format_datetime(
+        datetime.now(timezone.utc) + timedelta(seconds=offset_s), usegmt=True
+    )
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, low, high",
+    [
+        (429, "2", 2.0, 2.0),
+        (429, "3600", 30.0, 30.0),  # capped
+        (503, " 1 ", 1.0, 1.0),
+        (429, "soon", 0.25, 0.25),  # unparsable: the backoff step
+        (429, "-1", 0.25, 0.25),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0, 0.0),  # a date in the past
+        (429, 10.0, 5.0, 10.0),  # a number here: an HTTP-date that many seconds from now
+        (408, 86_400.0, 30.0, 30.0),  # capped
+    ],
+    ids=["seconds", "capped", "5xx", "unparsable", "negative", "past-date", "date", "far-date"],
+)
+def test_http_retry_after_sets_the_wait_before_the_next_attempt(
+    serve, status, retry_after, low, high
+):
+    if not isinstance(retry_after, str):
+        retry_after = _http_date(retry_after)
+    server = serve(
+        Reply(status, headers={"Retry-After": retry_after}),
+        Reply(200, {"message": {"content": "ok"}}),
+    )
+    transport, sleeps = _transport(server)
+    assert transport.chat("hello") == "ok"
+    (wait_s,) = sleeps
+    assert low <= wait_s <= high
+
+
+def test_http_retry_after_applies_to_the_next_attempt_only(serve):
+    server = serve(
+        Reply(429, headers={"Retry-After": "3"}),
+        Reply(500),
+        Reply(200, {"message": {"content": "ok"}}),
+    )
+    transport, sleeps = _transport(server)
+    assert transport.chat("hello") == "ok"
+    assert sleeps == [3.0, 0.5]
 
 
 def test_live_extract_fails_only_the_chunk_a_run_of_429s_answers(
@@ -693,26 +746,43 @@ def test_make_client_backends():
 
 
 class CountingTransport:
-    """Records the number of chat calls and the peak number in flight."""
+    """Records the chat and embedding calls, the texts embedded and the peak number in flight."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.calls = 0
         self.active = 0
         self.peak = 0
+        self.embedded: list[str] = []
 
-    def chat(self, prompt_text: str) -> str:
+    def _call(self, delay_s: float = 0.01) -> None:
         with self._lock:
             self.calls += 1
             self.active += 1
             self.peak = max(self.peak, self.active)
-        time.sleep(0.01)
+        time.sleep(delay_s)
         with self._lock:
             self.active -= 1
+
+    def chat(self, prompt_text: str) -> str:
+        self._call()
         return "(A | signed | B)"
 
     def embed_one(self, text: str):
+        self._call()
+        self.embedded.append(text)
         return mock_embedding(text)
+
+    def close(self) -> None:
+        pass
+
+
+class FailingEmbedTransport(CountingTransport):
+    """Every embedding fails; the first text's takes longest to fail."""
+
+    def embed_one(self, text: str):
+        self._call(0.05 if text == "text 0" else 0.01)
+        raise TransportError(f"no embedding for {text}")
 
 
 def test_client_bounds_concurrent_requests():
@@ -734,6 +804,65 @@ def test_mock_client_allows_one_request_in_flight():
         list(pool.map(lambda i: client.complete(f"prompt {i}"), range(8)))
     assert transport.peak == 1
     assert make_client(config, "live").config.max_parallel_requests == 4
+
+
+TEXTS = [f"text {i}" for i in range(40)]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_client_embeds_on_max_parallel_requests_threads(workers):
+    transport = CountingTransport()
+    client = LlmClient(EndpointConfig(max_parallel_requests=workers), transport)
+    client.embed(TEXTS)
+    assert transport.peak == workers
+    assert sorted(transport.embedded) == sorted(TEXTS)
+
+
+def test_parallel_embed_matches_a_serial_client_and_fetches_each_text_once():
+    texts = [f"text {i % 25}" for i in range(60)]  # repeats within the call
+    serial = LlmClient(EndpointConfig(max_parallel_requests=1), MockTransport())
+    transport = CountingTransport()
+    client = LlmClient(EndpointConfig(max_parallel_requests=4), transport)
+    for expected, vector in zip(serial.embed(texts), client.embed(texts), strict=True):
+        assert np.array_equal(expected.values, vector.values)
+    assert Counter(transport.embedded) == Counter(set(texts))
+    client.embed(texts[::-1])
+    assert len(transport.embedded) == 25
+
+
+def test_failed_parallel_embed_starts_no_new_text_and_raises_the_first_texts_error():
+    transport = FailingEmbedTransport()
+    client = LlmClient(EndpointConfig(max_parallel_requests=4), transport)
+    with pytest.raises(TransportError, match="^no embedding for text 0$"):
+        client.embed(TEXTS)
+    assert 1 <= transport.calls <= 4
+
+
+def test_mock_client_embeds_on_the_calling_thread(monkeypatch):
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def record(thread: threading.Thread) -> None:
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    client = make_client(EndpointConfig(max_parallel_requests=4), "mock")
+    client.embed(TEXTS)
+    assert started == []
+
+
+def test_live_eval_stops_embedding_once_a_text_fails(serve, config_file, capsys):
+    embed = serve(*[Reply(500)] * 200)
+    config = config_file(
+        endpoint={"base_url": embed.url, "max_parallel_requests": 4, "max_retries": 1}
+    )
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    assert cli.main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config), "--backend", "live"]) == 2
+    assert "status 500" in capsys.readouterr().err
+    assert 2 <= len(embed.requests) <= 4 * (1 + 1)
 
 
 # ---------------------------------------------------------------------------
