@@ -145,7 +145,7 @@ def typed(key: str, value: object, hint: object) -> object:
         if len(items) == len(value):
             return tuple(typed(f"{key}[{i}]", *pair) for i, pair in enumerate(zip(value, items)))
     expected = _expected(kind) + (" or null" if type(None) in kinds else "")
-    raise ConfigurationError(f"{key} must be {expected}, got {json.dumps(value)}")
+    raise ConfigurationError(f"{key} must be {expected}, got {json.dumps(value)[:200]}")
 
 
 def reject_unknown(prefix: str, obj: dict, valid: Iterable[str]) -> None:
@@ -168,7 +168,7 @@ def from_json(cls: type[T], obj: object, key: str = "", paths: tuple[str, ...] =
     """
     if type(obj) is not dict:
         where = key or "the top level"
-        raise ConfigurationError(f"{where} must be an object, got {json.dumps(obj)}")
+        raise ConfigurationError(f"{where} must be an object, got {json.dumps(obj)[:200]}")
     prefix = f"{key}." if key else ""
     hints = typing.get_type_hints(cls)
     reject_unknown(prefix, obj, (hints.keys() - fixed.keys()) | set(paths))

@@ -9,18 +9,18 @@ untrusted input.
 from __future__ import annotations
 
 import re
-import threading
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from pathlib import Path
 
-from .artifacts import read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import read_json, read_jsonl, typed, write_json, write_jsonl
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
 from .errors import ConfigurationError, ExtractionError, TransportError
-from .llmclient import LlmClient
+from .llmclient import LlmClient, _in_order
 from .prompting import ExampleBank, PromptTemplates, PromptVariant, build_prompt
 
 __all__ = [
@@ -297,11 +297,12 @@ def run_extraction(
     ``{{chunk}}``. Chunks are handed out one at a time to as many worker
     threads as the client allows requests in flight
     (``max_parallel_requests`` for a live endpoint, one for the in-process
-    mock). The merge is ordered by (doc_id, article_id, chunk_index), so
-    repeated runs produce identical output whatever the worker count. A chunk
-    whose request ultimately fails is recorded in the stats and skipped; the
-    run only fails when every chunk does. Any other error stops the run: no
-    worker takes a new chunk after it, and it is raised to the caller.
+    mock). Chunks are taken, and merged, in (doc_id, article_id,
+    chunk_index) order, so repeated runs produce identical output whatever
+    the worker count. A chunk whose request ultimately fails is recorded in
+    the stats and skipped; the run only fails when every chunk does. Any
+    other error stops the run: no worker takes a new chunk after it, and the
+    error raised is that of the first failing chunk in that order.
     """
     templates = templates or PromptTemplates.default()
     lexicon = generic_lexicon if generic_lexicon is not None else default_generic_terms()
@@ -309,6 +310,8 @@ def run_extraction(
     for doc in corpus.documents:
         for article_id, chunk_index, text in chunk_document(doc, preprocess_config):
             tasks.append((doc.doc_id, article_id, chunk_index, text))
+    # document order is not key order: an article after a chapter sorts before the chapter's
+    tasks.sort(key=lambda task: task[:3])
 
     stats = _empty_stats()
     run = ExtractionRun(
@@ -327,7 +330,7 @@ def run_extraction(
         try:
             reply = client.complete(prompt.text)
         except TransportError:
-            return (doc_id, article_id, chunk_index), [], {"chunks_failed": 1}
+            return [], {"chunks_failed": 1}
         candidates, rejections = parse_triples(reply)
         triples: list[Triple] = []
         norm_rejected = 0
@@ -359,32 +362,14 @@ def run_extraction(
                 1 for t in triples if _predicate_is_complex(t.predicate)
             ),
         }
-        return (doc_id, article_id, chunk_index), triples, chunk_stats
-
-    pending = iter(tasks)
-    take = threading.Lock()
-    stop = threading.Event()
-
-    def drain(_worker: int) -> list:
-        done = []
-        while True:
-            with take:
-                task = None if stop.is_set() else next(pending, None)
-            if task is None:
-                return done
-            try:
-                done.append(process(task))
-            except BaseException:
-                stop.set()
-                raise
+        return triples, chunk_stats
 
     workers = min(client.config.max_parallel_requests, len(tasks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = [result for done in pool.map(drain, range(workers)) for result in done]
+        results = _in_order(pool, workers, process, tasks)
 
-    results.sort(key=lambda r: r[0])
     collected: list[Triple] = []
-    for _, triples, chunk_stats in results:
+    for triples, chunk_stats in results:
         for key, value in chunk_stats.items():
             stats[key] += value
         collected.extend(triples)
@@ -400,6 +385,7 @@ def run_extraction(
 
 
 _TRIPLE_FIELDS = tuple(f.name for f in dataclass_fields(Triple))
+_TRIPLE_HINTS = typing.get_type_hints(Triple)
 # reads every field at once; vars(triple) would leave each triple a lasting __dict__,
 # which the garbage collector then scans for as long as the run is alive
 _triple_values = attrgetter(*_TRIPLE_FIELDS)
@@ -443,7 +429,7 @@ def read_run(path: str | Path) -> ExtractionRun:
     first record's, and one without records is named by its file stem. A
     record naming another variant makes the run corrupt, and so does a
     sidecar counting other than the triples the run holds, as for a run cut
-    short at a line boundary.
+    short at a line boundary, and so does a field of the wrong type.
     """
     target = Path(path)
     sidecar = target.with_suffix(".stats.json")
@@ -453,12 +439,16 @@ def read_run(path: str | Path) -> ExtractionRun:
 
     def triple(record: dict) -> Triple:
         nonlocal variant
-        record["variant"] = named = PromptVariant(record["variant"])
+        named = PromptVariant(record.pop("variant"))
         if variant is None:
             variant = named
         elif named is not variant:
             raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
-        return Triple(**record)
+        # an undeclared key passes as it is, for Triple to reject by name
+        return Triple(
+            **{k: typed(k, v, _TRIPLE_HINTS.get(k, type(v))) for k, v in record.items()},
+            variant=named,
+        )
 
     triples = read_jsonl(target, "run file", triple)
     kept = meta.pop("kept")

@@ -469,6 +469,38 @@ class HttpTransport:
         )
 
 
+def _in_order(pool: ThreadPoolExecutor, workers: int, fn: Callable, items: Sequence) -> list:
+    """``fn`` of each item, on ``workers`` tasks of ``pool`` that each take the next item.
+
+    Returns the results in input order. After an item fails no task takes
+    another, and the error raised is that of the lowest failing index, as a
+    serial loop's would be: every item before it was taken, and has finished.
+    """
+    pending = iter(enumerate(items))
+    take = threading.Lock()
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+
+    def drain(_worker: int) -> None:
+        while True:
+            with take:
+                item = None if failures else next(pending, None)
+            if item is None:
+                return
+            index, value = item
+            try:
+                results[index] = fn(value)
+            except BaseException as exc:
+                with take:
+                    failures[index] = exc
+                return
+
+    list(pool.map(drain, range(workers)))
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 class LlmClient:
     """Facade over a transport: bounded parallelism and an embedding store."""
 
@@ -501,7 +533,9 @@ class LlmClient:
         Vectors are kept for the life of the client, so the transport sees
         each distinct text once. The texts not yet seen are fetched on up to
         ``max_parallel_requests`` threads; with a bound of one (every mock
-        client) they are fetched in order on the calling thread.
+        client) they are fetched in order on the calling thread. Once a
+        fetch fails no new one starts, and the first failing text's error
+        is raised.
         """
         if not texts:
             raise ValueError("embed requires a non-empty list of texts")
@@ -515,7 +549,8 @@ class LlmClient:
             for text in unseen:
                 self._fetch(text)
         else:
-            self._fetch_parallel(unseen, workers)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                _in_order(pool, workers, self._fetch, unseen)
         return [self._embeddings[text] for text in texts]
 
     def _fetch(self, text: str) -> None:
@@ -526,36 +561,6 @@ class LlmClient:
         if not np.isfinite(norm) or norm <= 0.0:
             raise TransportError(f"embedding for {text[:40]!r} has invalid norm {norm}")
         self._embeddings[text] = EmbeddingVector(values=raw / norm)
-
-    def _fetch_parallel(self, texts: list[str], workers: int) -> None:
-        """Fetch ``texts`` on ``workers`` threads, each taking the next text in order.
-
-        After a text fails no worker takes another, and the error raised is
-        that of the first failing text in input order, as a serial loop's
-        would be.
-        """
-        pending = iter(enumerate(texts))
-        take = threading.Lock()
-        failures: dict[int, BaseException] = {}
-
-        def drain(_worker: int) -> None:
-            while True:
-                with take:
-                    item = None if failures else next(pending, None)
-                if item is None:
-                    return
-                index, text = item
-                try:
-                    self._fetch(text)
-                except BaseException as exc:
-                    with take:
-                        failures[index] = exc
-                    return
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(drain, range(workers)))
-        if failures:
-            raise failures[min(failures)]
 
 
 def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:

@@ -290,8 +290,10 @@ def test_corpus_cache_record_lacking_a_key_is_fatal_and_names_file_and_line(
         ("sectors", "agri", 'sectors must be a list of strings, got "agri"'),
         ("party_a", ["Chile"], 'party_a must be a string or null, got ["Chile"]'),
         ("articles", {"article_id": "a"}, "articles must be a list of objects, got {"),
+        # the wrong value is cut to its first 200 characters of JSON
+        ("sectors", "x" * 10_000, 'sectors must be a list of strings, got "' + "x" * 199 + "\n"),
     ],
-    ids=["clean_text", "sectors", "party_a", "articles"],
+    ids=["clean_text", "sectors", "party_a", "articles", "long sectors"],
 )
 def test_corpus_cache_value_of_the_wrong_type_is_fatal_and_names_the_key(
     config_file, capsys, key, value, message
@@ -335,6 +337,31 @@ def test_run_record_with_unknown_variant_is_fatal_and_names_file_and_line(
     stderr = capsys.readouterr().err
     assert f"corrupt run file {run}, line 2:" in stderr
     assert "two-shot" in stderr
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("subject", 5, "subject must be a string, got 5"),
+        ("chunk_index", "0", 'chunk_index must be an integer, got "0"'),
+        ("generic_subject", "no", 'generic_subject must be true or false, got "no"'),
+    ],
+    ids=["subject", "chunk_index", "generic_subject"],
+)
+def test_run_record_value_of_the_wrong_type_is_fatal_and_names_the_key(
+    config_file, capsys, key, value, message
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in (["eval"], ["sample", "--variant", "zero-shot"]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(config)]) == 2
+        assert f"corrupt run file {run}, line 2: {message}" in capsys.readouterr().err
 
 
 def test_truncated_run_stats_file_is_fatal_and_names_file_and_line(config_file, capsys):

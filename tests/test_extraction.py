@@ -495,6 +495,24 @@ def test_fatal_error_stops_extraction_promptly(rejected, bank, small_chunks_conf
     assert 1 <= transport.calls <= 4
 
 
+def test_two_fatal_chunks_raise_the_first_failing_chunks_error(bank, small_chunks_config):
+    """Chunk 2 fails first in time, chunk 1 first in key order: the error is chunk 1's."""
+    script = {"chunk 0": (0.05, False), "chunk 1": (0.2, True), "chunk 2": (0.0, True)}
+
+    def chat(prompt_text: str) -> str:
+        chunk = prompt_text.rsplit("\nText:\n", 1)[-1].strip()
+        delay_s, fails = script[chunk]
+        time.sleep(delay_s)
+        if fails:
+            raise ConfigurationError(f"endpoint rejected {chunk}")
+        return "(Japan | exports | cars)"
+
+    client = scripted_client(chat, max_parallel=2)
+    corpus = synthetic_corpus(script)
+    with pytest.raises(ConfigurationError, match="^endpoint rejected chunk 1$"):
+        run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+
+
 def reference_prompt(template: str, bank, chunk: str) -> str:
     """Plain slot replacement, in slot order, with {{chunk}} replaced last."""
 

@@ -31,6 +31,7 @@ from triplex.llmclient import (
     HttpTransport,
     LlmClient,
     MockTransport,
+    _in_order,
     make_client,
     mock_embedding,
 )
@@ -850,6 +851,53 @@ def test_mock_client_embeds_on_the_calling_thread(monkeypatch):
     client = make_client(EndpointConfig(max_parallel_requests=4), "mock")
     client.embed(TEXTS)
     assert started == []
+
+
+def test_parallel_in_order_returns_results_in_input_order():
+    last_done = threading.Event()
+    finished: list[int] = []
+
+    def fn(item: int) -> int:
+        if item == 0:
+            last_done.wait(timeout=5)  # the first item finishes after every other
+        finished.append(item)
+        if item == 7:
+            last_done.set()
+        return item * 10
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert _in_order(pool, 4, fn, range(8)) == [item * 10 for item in range(8)]
+    assert finished[-1] == 0
+
+
+def test_parallel_in_order_takes_no_item_once_one_has_failed():
+    failed = threading.Event()
+    taken: list[int] = []
+
+    def fn(item: int) -> int:
+        taken.append(item)
+        if item == 0:
+            failed.set()
+            raise TransportError("item 0")
+        failed.wait(timeout=5)
+        time.sleep(0.05)  # item 0's failure is recorded by now
+        return item
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(TransportError, match="^item 0$"):
+            _in_order(pool, 2, fn, range(10))
+    assert taken[0] == 0
+    assert set(taken) <= {0, 1}
+
+
+def test_parallel_in_order_raises_the_lowest_failing_items_error():
+    def fn(item: int) -> int:
+        time.sleep(0.05 if item == 0 else 0.0)  # item 1 fails first
+        raise TransportError(f"item {item}")
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(TransportError, match="^item 0$"):
+            _in_order(pool, 2, fn, range(3))
 
 
 def test_live_eval_stops_embedding_once_a_text_fails(serve, config_file, capsys):
