@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json, typed, write_json
 from .config import PipelineConfig, load_config
 from .corpus import load_corpus, preprocess_index, read_corpus_jsonl, write_corpus_jsonl
 from .errors import ConfigurationError, ExtractionError, TriplexError
@@ -188,11 +188,10 @@ def _table_results(eval_report: dict) -> dict[str, dict[str, Metrics]]:
     """The exact and semantic P/R/F1 of each variant in an eval report."""
     return {
         variant: {
-            mode: Metrics(
-                precision=entry[mode]["precision"],
-                recall=entry[mode]["recall"],
-                f1=entry[mode]["f1"],
-            )
+            mode: Metrics(**{
+                key: typed(f"variants.{variant}.{mode}.{key}", entry[mode][key], float)
+                for key in ("precision", "recall", "f1")
+            })
             for mode in ("exact", "semantic")
         }
         for variant, entry in eval_report["variants"].items()

@@ -100,10 +100,6 @@ def _local_tag(tag: object) -> str:
     return tag.rsplit("}", 1)[-1].lower()
 
 
-def _is_unit(elem: ET.Element) -> bool:
-    return bool(_UNIT_TAG_RE.search(_local_tag(elem.tag)))
-
-
 def _collect_units(
     elems: Iterable[ET.Element],
     prefix: str,
@@ -121,9 +117,9 @@ def _collect_units(
     counters = {} if counters is None else counters
     met = False
     for elem in elems:
-        if _is_unit(elem):
+        tag = _local_tag(elem.tag)
+        if _UNIT_TAG_RE.search(tag):
             met = True
-            tag = _local_tag(elem.tag)
             counters[tag] = counters.get(tag, 0) + 1
             label = f"{tag}:{counters[tag]:03d}"
             path = f"{prefix}/{label}" if prefix else label

@@ -22,6 +22,7 @@ import enum
 import io
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .errors import ConfigurationError
-from .extraction import _FIELD_NAMES, ExtractionRun, Triple
+from .extraction import _FIELD_NAMES, ExtractionRun, Triple, _fields
 from .gold import GoldTriple
 
 __all__ = [
@@ -143,9 +144,6 @@ def metrics_from(result: MatchResult, n_predicted: int, n_gold: int) -> Metrics:
     precision = pairs / n_predicted if n_predicted else 0.0
     recall = pairs / n_gold if n_gold else 0.0
     return Metrics(precision=precision, recall=recall, f1=f1_score(precision, recall))
-
-
-_fields = attrgetter(*_FIELD_NAMES)
 
 
 def _eligible_edges(
@@ -311,12 +309,8 @@ class PredicateDistribution:
 
 
 def predicate_distribution(triples: Iterable) -> PredicateDistribution:
-    counts: dict[str, int] = {}
-    total = 0
-    for triple in triples:
-        counts[triple.predicate] = counts.get(triple.predicate, 0) + 1
-        total += 1
-    return PredicateDistribution(counts=counts, total=total)
+    counts = Counter(triple.predicate for triple in triples)
+    return PredicateDistribution(counts=counts, total=counts.total())
 
 
 def distribution_divergence(p: PredicateDistribution, q: PredicateDistribution) -> float:

@@ -45,6 +45,8 @@ _QUOTED_TUPLE_RE = re.compile(
     r"""^\(?\s*(['"])(?P<s>.*?)\1\s*,\s*(['"])(?P<p>.*?)\3\s*,\s*(['"])(?P<o>.*?)\5\s*\)?\s*[.,;]?\s*$"""
 )
 _FIELD_NAMES = ("subject", "predicate", "object")
+# reads (subject, predicate, object) off a candidate, a triple or a gold triple
+_fields = attrgetter(*_FIELD_NAMES)
 # no closer is ".", so at most one of normalize_field's strip rules fits a text
 _WRAPPER_PAIRS = frozenset({("(", ")"), ("[", "]"), ('"', '"'), ("'", "'"), ("‘", "’"), ("“", "”")})
 
@@ -172,32 +174,6 @@ def flag_generic(field_value: str, lexicon: frozenset[str] | None = None) -> boo
     return field_value in terms
 
 
-def _normalize_candidate(
-    candidate: TripleCandidate,
-    doc_id: str,
-    article_id: str,
-    chunk_index: int,
-    variant: PromptVariant,
-    lexicon: frozenset[str],
-) -> Triple | None:
-    subject = normalize_field(candidate.subject)
-    predicate = normalize_field(candidate.predicate)
-    obj = normalize_field(candidate.object)
-    if not subject or not predicate or not obj:
-        return None
-    return Triple(
-        subject=subject,
-        predicate=predicate,
-        object=obj,
-        doc_id=doc_id,
-        article_id=article_id,
-        chunk_index=chunk_index,
-        variant=variant,
-        generic_subject=flag_generic(subject, lexicon),
-        generic_object=flag_generic(obj, lexicon),
-    )
-
-
 # the fields refinement may replace, in the order their terms enter the prompt
 _GENERIC_FIELDS = ("subject", "object")
 
@@ -211,8 +187,8 @@ def refine_generic(
     """Ask the model to replace generic subjects/objects, one follow-up per triple.
 
     A replacement field is accepted only when it parses and is itself
-    non-generic; otherwise the original field survives. Triples without a
-    generic flag pass through untouched. Returns
+    non-generic; otherwise the original field survives with its flag.
+    Triples without a generic flag pass through untouched. Returns
     ``(triples, refined_count, failures)``; the triple count never changes.
     """
     terms = lexicon if lexicon is not None else default_generic_terms()
@@ -242,9 +218,8 @@ def refine_generic(
                     changes[name] = replacement
             if changes:
                 refined_count += 1
-                fields = {n: changes.get(n, getattr(triple, n)) for n in _GENERIC_FIELDS}
-                flags = {f"generic_{n}": flag_generic(v, terms) for n, v in fields.items()}
-                triple = replace(triple, **fields, **flags)
+                # an accepted replacement is non-generic; a field not replaced keeps its flag
+                triple = replace(triple, **changes, **{f"generic_{n}": False for n in changes})
         refined.append(triple)
     return refined, refined_count, failures
 
@@ -275,10 +250,6 @@ def dedupe_and_cap(
         per_doc[triple.doc_id] = count + 1
         kept.append(triple)
     return kept, duplicates, capped
-
-
-def _predicate_is_complex(predicate: str) -> bool:
-    return len(predicate.split()) > COMPLEX_PREDICATE_TOKENS
 
 
 def run_extraction(
@@ -333,36 +304,31 @@ def run_extraction(
             return [], {"chunks_failed": 1}
         candidates, rejections = parse_triples(reply)
         triples: list[Triple] = []
-        norm_rejected = 0
         for candidate in candidates:
-            triple = _normalize_candidate(
-                candidate, doc_id, article_id, chunk_index, variant, lexicon
-            )
-            if triple is None:
-                norm_rejected += 1
-            else:
-                triples.append(triple)
+            s, p, o = map(normalize_field, _fields(candidate))
+            if s and p and o:
+                triples.append(Triple(
+                    s, p, o, doc_id, article_id, chunk_index, variant,
+                    generic_subject=s in lexicon, generic_object=o in lexicon,
+                ))
         flagged = sum(1 for t in triples if t.generic_subject or t.generic_object)
-        refined_count = 0
-        refine_failures = 0
+        refined_count = refine_failures = 0
         if variant is PromptVariant.NEGATIVE_EXAMPLES and flagged:
-            triples, refined_count, refine_failures = refine_generic(
-                triples, text, client, lexicon
-            )
+            triples, refined_count, refine_failures = refine_generic(triples, text, client, lexicon)
         lines_seen = len(candidates) + len(rejections)
-        chunk_stats = {
+        # refinement never changes the triple count, so every line not kept was rejected
+        return triples, {
             "chunks_processed": 1,
             "lines_seen": lines_seen,
             "lines_parsed": len(triples),
-            "lines_rejected": len(rejections) + norm_rejected,
+            "lines_rejected": lines_seen - len(triples),
             "generic_flagged": flagged,
             "refined_count": refined_count,
             "refine_failures": refine_failures,
             "complex_predicates": sum(
-                1 for t in triples if _predicate_is_complex(t.predicate)
+                len(t.predicate.split()) > COMPLEX_PREDICATE_TOKENS for t in triples
             ),
         }
-        return triples, chunk_stats
 
     workers = min(client.config.max_parallel_requests, len(tasks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -392,11 +358,11 @@ _triple_values = attrgetter(*_TRIPLE_FIELDS)
 
 
 def _run_meta(meta: dict) -> dict:
-    stats = {**_empty_stats(), **meta.get("stats", {})}
+    counts = typed("stats", meta.get("stats", {}), dict)
+    stats = {**_empty_stats(), **{k: typed(f"stats.{k}", v, int) for k, v in counts.items()}}
     return {
         "stats": stats,
-        "endpoint_fingerprint": meta.get("endpoint_fingerprint", ""),
-        "prompt_fingerprint": meta.get("prompt_fingerprint", ""),
+        **{k: typed(k, meta.get(k, ""), str) for k in ("endpoint_fingerprint", "prompt_fingerprint")},
         "variant": PromptVariant(meta["variant"]) if "variant" in meta else None,
         # the triples written: every parsed line less those dedupe_and_cap dropped
         "kept": stats["lines_parsed"] - stats["duplicates_removed"] - stats["capped_count"],

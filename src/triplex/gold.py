@@ -9,7 +9,6 @@ sides of every comparison are prepared identically.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,22 +51,19 @@ def load_gold(path: str | Path) -> GoldSet:
     source = Path(path)
     if not source.is_file():
         raise GoldValidationError(f"gold file not found: {source}")
-    text = read_text(source, "gold file")
     annotator = ""
-    data_lines: list[tuple[int, str]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    rows: list[tuple[int, list[str]]] = []
+    for number, line in enumerate(read_text(source, "gold file").splitlines(), start=1):
         if line.lstrip().startswith("#"):
             comment = line.lstrip()[1:].strip()
             if comment.lower().startswith("annotator:"):
                 annotator = comment.split(":", 1)[1].strip()
-            continue
-        if line.strip():
-            data_lines.append((number, line))
-    if not data_lines:
+        elif line.strip():
+            rows.append((number, next(csv.reader([line]))))
+    if not rows:
         raise GoldValidationError(f"gold file {source} has no header row")
 
-    header_number, header_line = data_lines[0]
-    header = next(csv.reader(io.StringIO(header_line)))
+    (header_number, header), *rows = rows
     columns = [c.strip().lower() for c in header]
     missing = [c for c in _FIELD_NAMES if c not in columns]
     if missing:
@@ -75,28 +71,23 @@ def load_gold(path: str | Path) -> GoldSet:
             f"gold file {source} header (row {header_number}) lacks columns: "
             f"{', '.join(missing)}"
         )
-    idx = {c: columns.index(c) for c in _FIELD_NAMES}
+    idx = [columns.index(c) for c in _FIELD_NAMES]
 
-    triples: list[GoldTriple] = []
-    seen: set[GoldTriple] = set()
+    # insertion-ordered, so the first occurrence of each triple keeps its place
+    triples: dict[GoldTriple, None] = {}
     empty_rows: list[str] = []
     duplicates = 0
-    for number, line in data_lines[1:]:
-        row = next(csv.reader(io.StringIO(line)))
-        if len(row) < len(columns):
-            row = row + [""] * (len(columns) - len(row))
-        fields = {name: normalize_field(row[idx[name]]) for name in _FIELD_NAMES}
-        empty = [name for name in _FIELD_NAMES if not fields[name]]
+    for number, row in rows:
+        row += [""] * (len(columns) - len(row))  # a short row's missing cells read as empty
+        triple = GoldTriple(*(normalize_field(row[i]) for i in idx))
+        empty = [name for name, value in zip(_FIELD_NAMES, triple) if not value]
         if empty:
             empty_rows.append(f"row {number}: empty {', '.join(empty)}")
-            continue
-        triple = GoldTriple(**fields)
-        if triple in seen:
+        elif triple in triples:
             duplicates += 1
             logger.warning("gold file %s row %d duplicates %s", source, number, triple)
-            continue
-        seen.add(triple)
-        triples.append(triple)
+        else:
+            triples[triple] = None
     if empty_rows:
         raise GoldValidationError(
             f"gold file {source} has empty fields: " + "; ".join(empty_rows)

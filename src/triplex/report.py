@@ -6,6 +6,7 @@ same inputs twice yields byte-identical files.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -183,10 +184,9 @@ def heatmap_spec_from_distributions(
     if not distributions:
         raise ValueError("heatmap requires at least one distribution")
     columns = _ordered_variants(distributions)
-    combined: dict[str, int] = {}
+    combined: Counter[str] = Counter()
     for dist in distributions.values():
-        for predicate, count in dist.counts.items():
-            combined[predicate] = combined.get(predicate, 0) + count
+        combined.update(dist.counts)
     ranked = sorted(combined.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
     rows = tuple(predicate for predicate, _ in ranked)
     cells = []

@@ -410,6 +410,34 @@ def test_run_stats_file_of_the_wrong_shape_is_fatal_and_names_file(
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"endpoint_fingerprint": ["a"]}, 'endpoint_fingerprint must be a string, got ["a"]'),
+        ({"prompt_fingerprint": 5}, "prompt_fingerprint must be a string, got 5"),
+        ({"stats": {"chunks_failed": True}}, "stats.chunks_failed must be an integer, got true"),
+        ({"stats": {"lines_parsed": "5"}}, 'stats.lines_parsed must be an integer, got "5"'),
+    ],
+    ids=["endpoint_fingerprint", "prompt_fingerprint", "chunks_failed", "lines_parsed"],
+)
+def test_run_stats_value_of_the_wrong_type_is_fatal_and_names_the_key(
+    config_file, capsys, edit, message
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    sidecar = out_dir_of(config) / "runs" / "zero-shot.stats.json"
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    if "stats" in edit:
+        edit = {"stats": {**meta["stats"], **edit["stats"]}}
+    sidecar.write_text(json.dumps({**meta, **edit}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    assert fatal_error_line(capsys.readouterr().err).endswith(
+        f"corrupt run stats file {sidecar}: {message}"
+    )
+
+
 def test_run_record_naming_another_variant_is_fatal_and_names_file_and_line(
     config_file, capsys
 ):
@@ -481,6 +509,26 @@ def test_truncated_eval_report_is_fatal_and_names_file_and_line(config_file, cap
     stderr = capsys.readouterr().err
     assert f"corrupt eval report {report}:" in stderr
     assert re.search(r"line \d+ column \d+", stderr)
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True], ids=["string", "null", "true"])
+def test_eval_report_value_of_the_wrong_type_is_fatal_and_names_the_key(
+    config_file, capsys, value
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
+    report = out_dir_of(config) / "eval_report.json"
+    content = json.loads(report.read_text(encoding="utf-8"))
+    content["variants"]["zero-shot"]["exact"]["precision"] = value
+    report.write_text(json.dumps(content), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    message = f"variants.zero-shot.exact.precision must be a number, got {json.dumps(value)}"
+    assert fatal_error_line(capsys.readouterr().err).endswith(
+        f"corrupt eval report {report}: {message}"
+    )
 
 
 @pytest.mark.parametrize("module", ["triplex", "triplex.cli"])

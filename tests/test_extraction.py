@@ -280,6 +280,20 @@ def test_refine_generic_counts_transport_failures():
     assert refined[0].subject == "the parties"
 
 
+def test_refine_generic_clears_only_the_replaced_fields_flag():
+    client = scripted_client("(Japan | signed | the agreement)")
+    triples = [
+        make_triple(
+            "the parties", "signed", "the agreement", generic_subject=True, generic_object=True
+        )
+    ]
+    refined, refined_count, failures = refine_generic(triples, CHUNK, client)
+    assert (refined_count, failures) == (1, 0)
+    assert (refined[0].subject, refined[0].object) == ("japan", "the agreement")
+    assert refined[0].generic_subject is False
+    assert refined[0].generic_object is True
+
+
 def test_refine_generic_replaces_object_too(mock_client):
     triples = [
         make_triple("japan", "signed", "the agreement", generic_object=True),
@@ -402,6 +416,15 @@ def test_junk_only_replies_reject_every_line(bank, small_chunks_config, corpus_d
     assert run.stats["lines_rejected"] == run.stats["lines_seen"]
     assert run.stats["lines_parsed"] == 0
     assert run.stats["chunks_failed"] == 0
+
+
+def test_a_line_that_normalizes_to_an_empty_field_counts_as_rejected(bank, small_chunks_config):
+    client = scripted_client("(Japan | signed | cars)\n(... | signed | Japan)\nchatter")
+    corpus = synthetic_corpus(["Japan signed an agreement on cars."])
+    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    assert [(t.subject, t.predicate, t.object) for t in run.triples] == [("japan", "signed", "cars")]
+    stats = run.stats
+    assert (stats["lines_seen"], stats["lines_parsed"], stats["lines_rejected"]) == (3, 1, 2)
 
 
 def test_all_chunks_failing_raises_extraction_error(bank, small_chunks_config, corpus_dir):

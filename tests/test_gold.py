@@ -103,6 +103,22 @@ def test_missing_column_is_fatal(tmp_path):
     assert "object" in str(excinfo.value)
 
 
+def test_row_numbers_count_every_physical_line_and_short_rows_read_empty(tmp_path):
+    path = write_gold(
+        tmp_path,
+        "# annotator: Ana\n"
+        "subject,predicate,object\n"
+        "Japan,signed,the Protocol\n"
+        "\n"
+        "# a comment between rows\n"
+        "Chile,exports\n"
+        "Peru,imports,copper\n",
+    )
+    with pytest.raises(GoldValidationError) as excinfo:
+        load_gold(path)
+    assert str(excinfo.value).endswith("has empty fields: row 6: empty object")
+
+
 def test_missing_file_and_empty_file_are_fatal(tmp_path):
     with pytest.raises(GoldValidationError):
         load_gold(tmp_path / "absent.csv")
