@@ -91,10 +91,14 @@ def read_json(path: str | Path, kind: str, build: Callable[[Any], T]) -> T:
 
 
 def read_jsonl(path: str | Path, kind: str, build: Callable[[Any], T]) -> list[T]:
-    """Return ``build`` of each non-blank line's JSON record, in file order."""
+    """Return ``build`` of each non-blank line's JSON record, in file order.
+
+    Lines end at ``\\n`` alone: a JSON string may hold U+2028 or U+0085 as it is,
+    which ``str.splitlines`` would take for a line end.
+    """
     source = Path(path)
     out: list[T] = []
-    for lineno, line in enumerate(read_text(source, kind).splitlines(), 1):
+    for lineno, line in enumerate(read_text(source, kind).split("\n"), 1):
         if not line.strip():
             continue
         try:

@@ -184,18 +184,28 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
     return EXIT_OK
 
 
-def _table_results(eval_report: dict) -> dict[str, dict[str, Metrics]]:
+def _required(obj: dict, prefix: str, key: str, hint: object) -> object:
+    """``obj[key]``, found at ``prefix + key``, which must be present and fit ``hint``."""
+    if key not in obj:
+        raise ConfigurationError(f"{prefix}{key} is required")
+    return typed(prefix + key, obj[key], hint)
+
+
+def _table_results(eval_report: object) -> dict[str, dict[str, Metrics]]:
     """The exact and semantic P/R/F1 of each variant in an eval report."""
-    return {
-        variant: {
-            mode: Metrics(**{
-                key: typed(f"variants.{variant}.{mode}.{key}", entry[mode][key], float)
+    variants = _required(typed("the top level", eval_report, dict), "", "variants", dict)
+    table: dict[str, dict[str, Metrics]] = {}
+    for variant, entry in variants.items():
+        where = f"variants.{variant}"
+        typed(where, entry, dict)
+        table[variant] = {}
+        for mode in ("exact", "semantic"):
+            scores = _required(entry, f"{where}.", mode, dict)
+            table[variant][mode] = Metrics(**{
+                key: _required(scores, f"{where}.{mode}.", key, float)
                 for key in ("precision", "recall", "f1")
             })
-            for mode in ("exact", "semantic")
-        }
-        for variant, entry in eval_report["variants"].items()
-    }
+    return table
 
 
 def cmd_report(config: PipelineConfig) -> int:

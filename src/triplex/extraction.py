@@ -8,15 +8,17 @@ untrusted input.
 
 from __future__ import annotations
 
+import functools
 import re
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 
-from .artifacts import read_json, read_jsonl, typed, write_json, write_jsonl
+from .artifacts import read_json, read_jsonl, typed, write_json, write_text
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
 from .errors import ConfigurationError, ExtractionError, TransportError
@@ -49,6 +51,9 @@ _FIELD_NAMES = ("subject", "predicate", "object")
 _fields = attrgetter(*_FIELD_NAMES)
 # no closer is ".", so at most one of normalize_field's strip rules fits a text
 _WRAPPER_PAIRS = frozenset({("(", ")"), ("[", "]"), ('"', '"'), ("'", "'"), ("‘", "’"), ("“", "”")})
+# model replies repeat few distinct fields many times over; the bound keeps a long live run's
+# memory flat
+_NORMALIZE_CACHE_SIZE = 1 << 16
 
 REFINEMENT_PROMPT = """Rewrite the triple below so that every generic term names its specific referent.
 Generic terms: {terms}
@@ -152,10 +157,13 @@ def parse_triples(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int,
     return candidates, rejections
 
 
+@functools.lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
 def normalize_field(value: str) -> str:
     """Lowercase, collapse whitespace, strip wrapping quotes/parens and trailing periods.
 
     Idempotent: normalizing an already normalized value changes nothing.
+    Memoized: a value repeated across a run, as model replies repeat them,
+    is normalized once, and every repeat shares the one result string.
     """
     text = value.strip()
     while text:
@@ -355,15 +363,34 @@ _TRIPLE_HINTS = typing.get_type_hints(Triple)
 # reads every field at once; vars(triple) would leave each triple a lasting __dict__,
 # which the garbage collector then scans for as long as the run is alive
 _triple_values = attrgetter(*_TRIPLE_FIELDS)
+# each field type's value as json.dumps(..., ensure_ascii=False) writes it; an int fills a %d
+_JSON_VALUE = {
+    str: encode_basestring,
+    int: int,
+    bool: {True: "true", False: "false"}.__getitem__,
+    PromptVariant: {v: encode_basestring(v.value) for v in PromptVariant}.__getitem__,
+}
+_LINE_VALUES = tuple(_JSON_VALUE[_TRIPLE_HINTS[name]] for name in _TRIPLE_FIELDS)
+# json.dumps(record, ensure_ascii=False) of a triple's record, every field in declared order
+_RUN_LINE = "{%s}\n" % ", ".join(
+    f"{encode_basestring(name)}: {'%d' if _TRIPLE_HINTS[name] is int else '%s'}"
+    for name in _TRIPLE_FIELDS
+)
+# the JSON type of each field's value on a run line, a variant being its name; a list, for
+# tuple(map(...)) resizes each tuple it builds, and CPython caches up to 2,000 freed ones
+_RECORD_TYPES = list(
+    str if _TRIPLE_HINTS[name] is PromptVariant else _TRIPLE_HINTS[name] for name in _TRIPLE_FIELDS
+)
 
 
-def _run_meta(meta: dict) -> dict:
+def _run_meta(meta: object) -> dict:
+    meta = typed("the top level", meta, dict)
     counts = typed("stats", meta.get("stats", {}), dict)
     stats = {**_empty_stats(), **{k: typed(f"stats.{k}", v, int) for k, v in counts.items()}}
     return {
         "stats": stats,
         **{k: typed(k, meta.get(k, ""), str) for k in ("endpoint_fingerprint", "prompt_fingerprint")},
-        "variant": PromptVariant(meta["variant"]) if "variant" in meta else None,
+        "variant": typed("variant", meta["variant"], PromptVariant) if "variant" in meta else None,
         # the triples written: every parsed line less those dedupe_and_cap dropped
         "kept": stats["lines_parsed"] - stats["duplicates_removed"] - stats["capped_count"],
     }
@@ -372,11 +399,10 @@ def _run_meta(meta: dict) -> dict:
 def write_run(run: ExtractionRun, path: str | Path) -> None:
     """Write a run as JSONL (one triple per line) plus a ``.stats.json`` sidecar."""
     target = Path(path)
-    records = (
-        dict(zip(_TRIPLE_FIELDS, _triple_values(t)), variant=t.variant.value)
+    write_text(target, "".join(
+        _RUN_LINE % tuple([encode(value) for encode, value in zip(_LINE_VALUES, _triple_values(t))])
         for t in run.triples
-    )
-    write_jsonl(target, records)
+    ))
     write_json(
         target.with_suffix(".stats.json"),
         {
@@ -405,6 +431,15 @@ def read_run(path: str | Path) -> ExtractionRun:
 
     def triple(record: dict) -> Triple:
         nonlocal variant
+        # a record as write_run writes it, of the run's variant, is built as it stands
+        if (
+            tuple(record) == _TRIPLE_FIELDS
+            and list(map(type, record.values())) == _RECORD_TYPES
+            and variant is not None
+            and record["variant"] == variant.value
+        ):
+            record["variant"] = variant
+            return Triple(*record.values())
         named = PromptVariant(record.pop("variant"))
         if variant is None:
             variant = named

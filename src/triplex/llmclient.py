@@ -378,14 +378,15 @@ class HttpTransport:
         while self._idle:
             self._idle.pop().close()
 
+    def _open(self) -> http.client.HTTPConnection:
+        return self._connection_class(self._netloc, timeout=self.config.timeout_ms / 1000.0)
+
     def _post(self, target: str, body: bytes) -> tuple[int, bytes, str | None]:
         """POST ``body`` on a pooled connection; return the status, reply bytes and Retry-After."""
         try:
             connection = self._idle.pop()
         except IndexError:
-            connection = self._connection_class(
-                self._netloc, timeout=self.config.timeout_ms / 1000.0
-            )
+            connection = self._open()
         # a connection kept alive since an earlier request may have been closed by the
         # server while idle: a connection error on it sends the request once more
         for resend in (connection.sock is not None, False):
@@ -394,9 +395,11 @@ class HttpTransport:
                 response = connection.getresponse()
                 reply = response.status, response.read(), response.getheader("Retry-After")
             except BaseException as exc:
-                connection.close()  # its state is unknown; a resend opens a fresh socket
+                connection.close()  # its state is unknown
                 if not (resend and isinstance(exc, ConnectionError)):
                     raise
+                # one socket per connection object, so the pool counts what the server does
+                connection = self._open()
             else:
                 self._idle.append(connection)
                 return reply

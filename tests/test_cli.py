@@ -411,6 +411,30 @@ def test_run_stats_file_of_the_wrong_shape_is_fatal_and_names_file(
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[]", "the top level must be an object, got []"),
+        ('"zero-shot"', 'the top level must be an object, got "zero-shot"'),
+        ('{"variant": 3}', "variant must be one of zero-shot, one-shot, few-shot, negative-examples, got 3"),
+    ],
+    ids=["list", "string", "variant"],
+)
+def test_run_stats_file_of_the_wrong_shape_names_what_is_wrong(
+    config_file, capsys, content, message
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    sidecar = out_dir_of(config) / "runs" / "zero-shot.stats.json"
+    sidecar.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    assert fatal_error_line(capsys.readouterr().err).endswith(
+        f"corrupt run stats file {sidecar}: {message}"
+    )
+
+
+@pytest.mark.parametrize(
     "edit, message",
     [
         ({"endpoint_fingerprint": ["a"]}, 'endpoint_fingerprint must be a string, got ["a"]'),
@@ -529,6 +553,58 @@ def test_eval_report_value_of_the_wrong_type_is_fatal_and_names_the_key(
     assert fatal_error_line(capsys.readouterr().err).endswith(
         f"corrupt eval report {report}: {message}"
     )
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), ["x"], 'the top level must be an object, got ["x"]'),
+        (("variants",), _DELETE, "variants is required"),
+        (("variants",), [1, 2], "variants must be an object, got [1, 2]"),
+        (("variants", "zero-shot"), "good", 'variants.zero-shot must be an object, got "good"'),
+        (("variants", "zero-shot", "semantic"), _DELETE, "variants.zero-shot.semantic is required"),
+        (
+            ("variants", "zero-shot", "exact"),
+            [0.5],
+            "variants.zero-shot.exact must be an object, got [0.5]",
+        ),
+        (
+            ("variants", "zero-shot", "exact", "recall"),
+            _DELETE,
+            "variants.zero-shot.exact.recall is required",
+        ),
+    ],
+    ids=[
+        "top level", "no variants", "variants list", "variant string", "no semantic",
+        "exact list", "no recall",
+    ],
+)
+def test_eval_report_of_the_wrong_shape_names_the_key(config_file, capsys, path, value, message):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
+    report = out_dir_of(config) / "eval_report.json"
+    content = json.loads(report.read_text(encoding="utf-8"))
+    if path:
+        *parents, key = path
+        parent = content
+        for name in parents:
+            parent = parent[name]
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = value
+    else:
+        content = value
+    report.write_text(json.dumps(content), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    line = fatal_error_line(capsys.readouterr().err)
+    assert f"corrupt eval report {report}: {message}" in line
 
 
 @pytest.mark.parametrize("module", ["triplex", "triplex.cli"])

@@ -24,6 +24,7 @@ from triplex.errors import ConfigurationError, ExtractionError, TransportError
 from triplex.extraction import (
     DEFAULT_TRIPLE_CAP,
     REFINEMENT_PROMPT,
+    ExtractionRun,
     Triple,
     dedupe_and_cap,
     flag_generic,
@@ -679,3 +680,91 @@ def test_write_run_is_valid_jsonl(bank, mock_client, small_chunks_config, corpus
             "subject", "predicate", "object", "doc_id", "article_id",
             "chunk_index", "variant", "generic_subject", "generic_object",
         }
+
+
+# field text that JSON must escape or may leave as it is: quotes, backslashes, control
+# characters, the Unicode line and paragraph separators and characters beyond the BMP
+_awkward_text = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet='"\\\x00\x08\x1f\x7f\x85  é|\U0001f600\U00010348 a\n\r\t', max_size=12),
+)
+_triples = st.builds(
+    Triple,
+    subject=_awkward_text,
+    predicate=_awkward_text,
+    object=_awkward_text,
+    doc_id=_awkward_text,
+    article_id=_awkward_text,
+    chunk_index=st.integers(min_value=-(2**70), max_value=2**70),
+    variant=st.just(PromptVariant.FEW_SHOT),
+    generic_subject=st.booleans(),
+    generic_object=st.booleans(),
+)
+
+
+def _run_of(triples):
+    # a sidecar that counts every triple as kept
+    stats = {"lines_parsed": len(triples)}
+    return ExtractionRun(PromptVariant.FEW_SHOT, triples, stats, "endpoint", "prompt")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_triples, max_size=6))
+def test_write_run_lines_are_json_dumps_and_read_back_equal(tmp_path_factory, triples):
+    path = tmp_path_factory.mktemp("run") / "few-shot.jsonl"
+    write_run(_run_of(triples), path)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    expected = [
+        {**{f: getattr(t, f) for f in Triple.__dataclass_fields__}, "variant": t.variant.value}
+        for t in triples
+    ]
+    assert lines == [json.dumps(record, ensure_ascii=False) for record in expected]
+    back = read_run(path)
+    assert back.variant is PromptVariant.FEW_SHOT
+    assert back.triples == triples
+    assert [type(t.chunk_index) for t in back.triples] == [int] * len(triples)
+
+
+def _rewrite_second_record(path, edit) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = json.dumps(edit(json.loads(lines[1])), ensure_ascii=False)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_read_run_loads_a_record_with_its_keys_reordered(tmp_path):
+    triples = [make_triple("japan", "exports", f"cars {i}") for i in range(3)]
+    run = replace(_run_of(triples), variant=PromptVariant.NEGATIVE_EXAMPLES)
+    path = tmp_path / "negative-examples.jsonl"
+    write_run(run, path)
+    _rewrite_second_record(path, lambda record: dict(reversed(record.items())))
+    assert read_run(path).triples == triples
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (
+            lambda record: {**record, "confidence": 0.9},
+            'TypeError("Triple.__init__() got an unexpected keyword argument \'confidence\'")',
+        ),
+        (lambda record: {**record, "chunk_index": True}, "chunk_index must be an integer, got true"),
+        (
+            lambda record: {k: v for k, v in record.items() if k != "object"},
+            "TypeError(\"Triple.__init__() missing 1 required positional argument: 'object'\")",
+        ),
+        (lambda record: {k: v for k, v in record.items() if k != "variant"}, "KeyError('variant')"),
+    ],
+    ids=["extra key", "true chunk_index", "missing object", "missing variant"],
+)
+def test_read_run_names_the_line_and_fault_of_a_record_write_run_would_not_write(
+    tmp_path, edit, reason
+):
+    triples = [make_triple("japan", "exports", f"cars {i}") for i in range(3)]
+    run = replace(_run_of(triples), variant=PromptVariant.NEGATIVE_EXAMPLES)
+    path = tmp_path / "negative-examples.jsonl"
+    write_run(run, path)
+    _rewrite_second_record(path, edit)
+    with pytest.raises(ConfigurationError) as caught:
+        read_run(path)
+    assert str(caught.value) == f"corrupt run file {path}, line 2: {reason}"

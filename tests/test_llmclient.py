@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import email.utils
 import hashlib
+import http.client
 import json
 import os
 import sys
@@ -236,6 +237,9 @@ class ScriptedEndpoint(ThreadingHTTPServer):
     """Answers each POST with the next scripted outcome; records requests and connections."""
 
     daemon_threads = True
+    # socketserver listens with a backlog of 5; when more clients connect at once than the
+    # serving loop accepts, the kernel may reset one (errno 104) before it sends a byte
+    request_queue_size = 64
 
     def __init__(self, outcomes) -> None:
         super().__init__(("127.0.0.1", 0), _ScriptedHandler)
@@ -694,6 +698,34 @@ def test_http_resends_once_on_a_connection_closed_while_idle(serve):
     assert sleeps == []
     assert server.connections == 2
     assert len(server.requests) == 2
+
+
+def test_http_resend_after_an_idle_close_gives_the_pool_one_object_per_server_connection(serve):
+    server = serve(
+        Reply(200, {"message": {"content": "first"}}, close_after=True),
+        *[Reply(200, {"message": {"content": "again"}})] * 3,
+    )
+    transport, _ = _transport(server, max_retries=0)
+    opened: list[http.client.HTTPConnection] = []
+    connection_class = transport._connection_class
+
+    def counted(*args, **kwargs):
+        opened.append(connection_class(*args, **kwargs))
+        return opened[-1]
+
+    transport._connection_class = counted
+    assert transport.chat("hello") == "first"
+    assert server.closed.acquire(timeout=5)  # the server has closed the kept-alive socket
+    assert transport.chat("hello") == "again"  # the resend
+    # the server counts a connection for each socket the transport opened, and each socket
+    # has its own connection object: the one the server closed is out of the pool
+    assert server.connections == len(opened) == 2
+    assert list(transport._idle) == [opened[1]]
+    assert opened[0].sock is None
+    for _ in range(2):
+        assert transport.chat("hello") == "again"
+    assert server.connections == len(opened) == 2
+    assert len(server.requests) == 4
 
 
 def test_client_normalizes_transport_embeddings(serve):
