@@ -51,8 +51,7 @@ _FIELD_NAMES = ("subject", "predicate", "object")
 _fields = attrgetter(*_FIELD_NAMES)
 # no closer is ".", so at most one of normalize_field's strip rules fits a text
 _WRAPPER_PAIRS = frozenset({("(", ")"), ("[", "]"), ('"', '"'), ("'", "'"), ("‘", "’"), ("“", "”")})
-# model replies repeat few distinct fields many times over; the bound keeps a long live run's
-# memory flat
+# bounds normalize_field's memo: full, it holds about 11 MB for fields of 35 characters
 _NORMALIZE_CACHE_SIZE = 1 << 16
 
 REFINEMENT_PROMPT = """Rewrite the triple below so that every generic term names its specific referent.
@@ -162,8 +161,7 @@ def normalize_field(value: str) -> str:
     """Lowercase, collapse whitespace, strip wrapping quotes/parens and trailing periods.
 
     Idempotent: normalizing an already normalized value changes nothing.
-    Memoized: a value repeated across a run, as model replies repeat them,
-    is normalized once, and every repeat shares the one result string.
+    Memoized: a value seen before returns the result string of its first call.
     """
     text = value.strip()
     while text:
@@ -360,9 +358,6 @@ def run_extraction(
 
 _TRIPLE_FIELDS = tuple(f.name for f in dataclass_fields(Triple))
 _TRIPLE_HINTS = typing.get_type_hints(Triple)
-# reads every field at once; vars(triple) would leave each triple a lasting __dict__,
-# which the garbage collector then scans for as long as the run is alive
-_triple_values = attrgetter(*_TRIPLE_FIELDS)
 # each field type's value as json.dumps(..., ensure_ascii=False) writes it; an int fills a %d
 _JSON_VALUE = {
     str: encode_basestring,
@@ -370,16 +365,15 @@ _JSON_VALUE = {
     bool: {True: "true", False: "false"}.__getitem__,
     PromptVariant: {v: encode_basestring(v.value) for v in PromptVariant}.__getitem__,
 }
-_LINE_VALUES = tuple(_JSON_VALUE[_TRIPLE_HINTS[name]] for name in _TRIPLE_FIELDS)
+# each field's getter and encoder; attrgetter, for vars(triple) would leave each triple a
+# lasting __dict__, which the garbage collector then scans for as long as the run is alive
+_LINE_COLUMNS = tuple(
+    (attrgetter(name), _JSON_VALUE[_TRIPLE_HINTS[name]]) for name in _TRIPLE_FIELDS
+)
 # json.dumps(record, ensure_ascii=False) of a triple's record, every field in declared order
 _RUN_LINE = "{%s}\n" % ", ".join(
     f"{encode_basestring(name)}: {'%d' if _TRIPLE_HINTS[name] is int else '%s'}"
     for name in _TRIPLE_FIELDS
-)
-# the JSON type of each field's value on a run line, a variant being its name; a list, for
-# tuple(map(...)) resizes each tuple it builds, and CPython caches up to 2,000 freed ones
-_RECORD_TYPES = list(
-    str if _TRIPLE_HINTS[name] is PromptVariant else _TRIPLE_HINTS[name] for name in _TRIPLE_FIELDS
 )
 
 
@@ -399,10 +393,9 @@ def _run_meta(meta: object) -> dict:
 def write_run(run: ExtractionRun, path: str | Path) -> None:
     """Write a run as JSONL (one triple per line) plus a ``.stats.json`` sidecar."""
     target = Path(path)
-    write_text(target, "".join(
-        _RUN_LINE % tuple([encode(value) for encode, value in zip(_LINE_VALUES, _triple_values(t))])
-        for t in run.triples
-    ))
+    # one lazy column of encoded values per field, zipped into each triple's line values
+    columns = (map(encode, map(get, run.triples)) for get, encode in _LINE_COLUMNS)
+    write_text(target, "".join(map(_RUN_LINE.__mod__, zip(*columns))))
     write_json(
         target.with_suffix(".stats.json"),
         {
@@ -431,15 +424,6 @@ def read_run(path: str | Path) -> ExtractionRun:
 
     def triple(record: dict) -> Triple:
         nonlocal variant
-        # a record as write_run writes it, of the run's variant, is built as it stands
-        if (
-            tuple(record) == _TRIPLE_FIELDS
-            and list(map(type, record.values())) == _RECORD_TYPES
-            and variant is not None
-            and record["variant"] == variant.value
-        ):
-            record["variant"] = variant
-            return Triple(*record.values())
         named = PromptVariant(record.pop("variant"))
         if variant is None:
             variant = named
