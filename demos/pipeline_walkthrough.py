@@ -27,7 +27,7 @@ from triplex.evaluation import (
     predicate_distribution,
     redundancy_score,
 )
-from triplex.extraction import run_extraction
+from triplex.extraction import chunk_corpus, run_extraction
 from triplex.gold import load_gold
 from triplex.llmclient import EndpointConfig, make_client
 from triplex.prompting import PromptVariant, default_example_bank
@@ -52,9 +52,10 @@ def main() -> None:
     print("\n== 2. Extract triples (mock backend, seed 7) ==")
     client = make_client(EndpointConfig(seed=7), backend="mock")
     bank = default_example_bank()
+    chunks = chunk_corpus(corpus, config)
     runs = {}
     for variant in VARIANTS:
-        run = run_extraction(corpus, variant, bank, client, config)
+        run = run_extraction(chunks, variant, bank, client)
         runs[variant.value] = run
         stats = run.stats
         print(

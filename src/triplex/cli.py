@@ -27,7 +27,7 @@ from .evaluation import (
     sample_for_annotation,
     write_annotation_csv,
 )
-from .extraction import read_run, run_extraction, write_run
+from .extraction import chunk_corpus, read_run, run_extraction, write_run
 from .gold import load_gold
 from .llmclient import make_client
 from .prompting import PromptTemplates, PromptVariant, load_example_bank
@@ -65,16 +65,16 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
     corpus = read_corpus_jsonl(config.corpus_cache)
     bank = load_example_bank(config.examples_file)
     templates = PromptTemplates.from_dir(config.template_dir)
+    chunks = chunk_corpus(corpus, config.preprocess)
     worst = EXIT_OK
     with make_client(config.endpoint, backend) as client:
         for variant in _variants(variant_name):
             try:
                 run = run_extraction(
-                    corpus,
+                    chunks,
                     variant,
                     bank,
                     client,
-                    config.preprocess,
                     templates=templates,
                     generic_lexicon=config.generic_terms,
                 )

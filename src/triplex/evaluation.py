@@ -350,12 +350,18 @@ def redundancy_score(
         return 0.0
     predicates = sorted({triples[i].predicate for indices in multi for i in indices})
     vectors = dict(zip(predicates, embedder.embed(predicates)))
+    # the verdict of each ordered predicate pair, computed at its first visit
+    near: dict[tuple[str, str], bool] = {}
     redundant: set[int] = set()
     for indices in multi:
         for i, j in itertools.combinations(indices, 2):
-            pred_i, pred_j = triples[i].predicate, triples[j].predicate
-            cosine = 1.0 if pred_i == pred_j else vectors[pred_i].cosine(vectors[pred_j])
-            if cosine >= threshold:
+            pair = triples[i].predicate, triples[j].predicate
+            verdict = near.get(pair)
+            if verdict is None:
+                pred_i, pred_j = pair
+                cosine = 1.0 if pred_i == pred_j else vectors[pred_i].cosine(vectors[pred_j])
+                verdict = near[pair] = cosine >= threshold
+            if verdict:
                 redundant.update((i, j))
     return len(redundant) / len(triples)
 

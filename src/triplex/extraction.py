@@ -34,6 +34,7 @@ __all__ = [
     "flag_generic",
     "refine_generic",
     "dedupe_and_cap",
+    "chunk_corpus",
     "run_extraction",
     "write_run",
     "read_run",
@@ -49,6 +50,8 @@ _QUOTED_TUPLE_RE = re.compile(
 _FIELD_NAMES = ("subject", "predicate", "object")
 # reads (subject, predicate, object) off a candidate, a triple or a gold triple
 _fields = attrgetter(*_FIELD_NAMES)
+# one chunk of a document: (doc_id, article_id, chunk_index, text)
+Chunk = tuple[str, str, int, str]
 # no closer is ".", so at most one of normalize_field's strip rules fits a text
 _WRAPPER_PAIRS = frozenset({("(", ")"), ("[", "]"), ('"', '"'), ("'", "'"), ("‘", "’"), ("“", "”")})
 # bounds normalize_field's memo: full, it holds about 11 MB for fields of 35 characters
@@ -258,38 +261,46 @@ def dedupe_and_cap(
     return kept, duplicates, capped
 
 
+def chunk_corpus(corpus: CorpusIndex, preprocess_config: PreprocessConfig) -> list[Chunk]:
+    """Every chunk of every document, as (doc_id, article_id, chunk_index, text).
+
+    Sorted by (doc_id, article_id, chunk_index), the order
+    :func:`run_extraction` takes and merges chunks in.
+    """
+    chunks = [
+        (doc.doc_id, article_id, chunk_index, text)
+        for doc in corpus.documents
+        for article_id, chunk_index, text in chunk_document(doc, preprocess_config)
+    ]
+    # document order is not key order: an article after a chapter sorts before the chapter's
+    chunks.sort(key=lambda chunk: chunk[:3])
+    return chunks
+
+
 def run_extraction(
-    corpus: CorpusIndex,
+    chunks: list[Chunk],
     variant: PromptVariant,
     bank: ExampleBank,
     client: LlmClient,
-    preprocess_config: PreprocessConfig,
     templates: PromptTemplates | None = None,
     generic_lexicon: frozenset[str] | None = None,
     cap: int = DEFAULT_TRIPLE_CAP,
 ) -> ExtractionRun:
-    """Extract triples from every chunk of every document with one variant.
+    """Extract triples from every chunk of :func:`chunk_corpus` with one variant.
 
     The prompt's fixed part is rendered once; each chunk only fills in
     ``{{chunk}}``. Chunks are handed out one at a time to as many worker
     threads as the client allows requests in flight
     (``max_parallel_requests`` for a live endpoint, one for the in-process
-    mock). Chunks are taken, and merged, in (doc_id, article_id,
-    chunk_index) order, so repeated runs produce identical output whatever
-    the worker count. A chunk whose request ultimately fails is recorded in
-    the stats and skipped; the run only fails when every chunk does. Any
-    other error stops the run: no worker takes a new chunk after it, and the
-    error raised is that of the first failing chunk in that order.
+    mock). Chunks are taken, and merged, in the order given, so repeated
+    runs produce identical output whatever the worker count. A chunk whose
+    request ultimately fails is recorded in the stats and skipped; the run
+    only fails when every chunk does. Any other error stops the run: no
+    worker takes a new chunk after it, and the error raised is that of the
+    first failing chunk in that order.
     """
     templates = templates or PromptTemplates.default()
     lexicon = generic_lexicon if generic_lexicon is not None else default_generic_terms()
-    tasks: list[tuple[str, str, int, str]] = []
-    for doc in corpus.documents:
-        for article_id, chunk_index, text in chunk_document(doc, preprocess_config):
-            tasks.append((doc.doc_id, article_id, chunk_index, text))
-    # document order is not key order: an article after a chapter sorts before the chapter's
-    tasks.sort(key=lambda task: task[:3])
-
     stats = _empty_stats()
     run = ExtractionRun(
         variant=variant,
@@ -298,11 +309,11 @@ def run_extraction(
         endpoint_fingerprint=client.config.fingerprint(),
         prompt_fingerprint=templates.fingerprint(variant),
     )
-    if not tasks:
+    if not chunks:
         return run
 
-    def process(task: tuple[str, str, int, str]):
-        doc_id, article_id, chunk_index, text = task
+    def process(chunk: Chunk):
+        doc_id, article_id, chunk_index, text = chunk
         prompt = build_prompt(variant, bank, text, templates)
         try:
             reply = client.complete(prompt.text)
@@ -336,18 +347,18 @@ def run_extraction(
             ),
         }
 
-    workers = min(client.config.max_parallel_requests, len(tasks))
+    workers = min(client.config.max_parallel_requests, len(chunks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = _in_order(pool, workers, process, tasks)
+        results = _in_order(pool, workers, process, chunks)
 
     collected: list[Triple] = []
     for triples, chunk_stats in results:
         for key, value in chunk_stats.items():
             stats[key] += value
         collected.extend(triples)
-    if stats["chunks_failed"] == len(tasks):
+    if stats["chunks_failed"] == len(chunks):
         raise ExtractionError(
-            f"all {len(tasks)} chunks failed; last resort is checking the endpoint"
+            f"all {len(chunks)} chunks failed; last resort is checking the endpoint"
         )
     kept, duplicates, capped = dedupe_and_cap(collected, cap)
     stats["duplicates_removed"] = duplicates
@@ -358,6 +369,15 @@ def run_extraction(
 
 _TRIPLE_FIELDS = tuple(f.name for f in dataclass_fields(Triple))
 _TRIPLE_HINTS = typing.get_type_hints(Triple)
+_TRIPLE_KEYS = frozenset(_TRIPLE_FIELDS)
+# a record's value for an absent key: the field's default, or MISSING, whose type fits no field
+_FIELD_DEFAULTS = tuple(f.default for f in dataclass_fields(Triple))
+# the type of each value in a valid record, in field order; the variant is stored as its name
+_RECORD_TYPES = [
+    str if _TRIPLE_HINTS[name] is PromptVariant else _TRIPLE_HINTS[name] for name in _TRIPLE_FIELDS
+]
+_VARIANT_AT = _TRIPLE_FIELDS.index("variant")
+_VARIANT_NAMED = {v.value: v for v in PromptVariant}
 # each field type's value as json.dumps(..., ensure_ascii=False) writes it; an int fills a %d
 _JSON_VALUE = {
     str: encode_basestring,
@@ -407,6 +427,22 @@ def write_run(run: ExtractionRun, path: str | Path) -> None:
     )
 
 
+def _raise_corrupt(record: object, variant: PromptVariant | None) -> typing.NoReturn:
+    """Raise what is wrong with a record of a ``variant`` run that read_run refused.
+
+    Walks the record key by key in its own order, so the fault named is the
+    first one there: a missing or unknown variant, another run's variant, a
+    value of the wrong type, then a missing or undeclared key.
+    """
+    named = PromptVariant(record.pop("variant"))
+    if variant is not None and named is not variant:
+        raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
+    # an undeclared key passes as it is, for Triple to reject by name
+    values = {k: typed(k, v, _TRIPLE_HINTS.get(k, type(v))) for k, v in record.items()}
+    Triple(**values, variant=named)
+    raise AssertionError(f"read_run refused a record that builds a triple: {record}")
+
+
 def read_run(path: str | Path) -> ExtractionRun:
     """Rehydrate a run written by :func:`write_run`.
 
@@ -422,18 +458,17 @@ def read_run(path: str | Path) -> ExtractionRun:
     meta = read_json(sidecar, "run stats file", _run_meta) if has_sidecar else _run_meta({})
     variant = meta.pop("variant")
 
-    def triple(record: dict) -> Triple:
+    def triple(record: object) -> Triple:
+        # one test of the keys, one of the value types and one of the variant
         nonlocal variant
-        named = PromptVariant(record.pop("variant"))
-        if variant is None:
-            variant = named
-        elif named is not variant:
-            raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
-        # an undeclared key passes as it is, for Triple to reject by name
-        return Triple(
-            **{k: typed(k, v, _TRIPLE_HINTS.get(k, type(v))) for k, v in record.items()},
-            variant=named,
-        )
+        if type(record) is dict and record.keys() <= _TRIPLE_KEYS:
+            values = [*map(record.get, _TRIPLE_FIELDS, _FIELD_DEFAULTS)]
+            if [*map(type, values)] == _RECORD_TYPES:
+                named = values[_VARIANT_AT] = _VARIANT_NAMED.get(values[_VARIANT_AT])
+                variant = variant or named  # without a sidecar, the first record names it
+                if named is variant and named is not None:
+                    return Triple(*values)
+        _raise_corrupt(record, variant)
 
     triples = read_jsonl(target, "run file", triple)
     kept = meta.pop("kept")

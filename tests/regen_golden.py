@@ -15,7 +15,7 @@ from pathlib import Path
 from triplex.cli import main as cli_main
 from triplex.corpus import PreprocessConfig, load_corpus
 from triplex.evaluation import predicate_distribution
-from triplex.extraction import run_extraction, write_run
+from triplex.extraction import chunk_corpus, run_extraction, write_run
 from triplex.llmclient import EndpointConfig, make_client
 from triplex.prompting import PromptVariant, default_example_bank
 from triplex.report import heatmap, heatmap_spec_from_distributions
@@ -74,15 +74,16 @@ def main() -> None:
 
     # one variant over the first two fixture documents
     corpus = load_corpus(TESTS / "fixtures" / "corpus", limit=2)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, config)
+    run = run_extraction(chunk_corpus(corpus, config), PromptVariant.ZERO_SHOT, bank, client)
     write_run(run, GOLDEN / "zero-shot-run.jsonl")
     print(f"zero-shot-run.jsonl: {len(run.triples)} triples, stats={run.stats}")
 
     # heatmap over all four variants on the full fixture corpus
     full = load_corpus(TESTS / "fixtures" / "corpus")
+    full_chunks = chunk_corpus(full, config)
     distributions = {}
     for variant in PromptVariant:
-        variant_run = run_extraction(full, variant, bank, client, config)
+        variant_run = run_extraction(full_chunks, variant, bank, client)
         distributions[variant.value] = predicate_distribution(variant_run.triples)
     spec = heatmap_spec_from_distributions(distributions, top_k=15)
     svg = heatmap(spec, title="Predicate frequency by prompt variant")

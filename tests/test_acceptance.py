@@ -19,7 +19,7 @@ import pytest
 
 from oracles import best_assignment_oracle, eligible_edges_oracle, random_instance
 from triplex.cli import main
-from triplex.corpus import PreprocessConfig, chunk_document, load_corpus
+from triplex.corpus import PreprocessConfig, load_corpus
 from triplex.evaluation import (
     AssignmentPolicy,
     MatchConfig,
@@ -34,6 +34,7 @@ from triplex.evaluation import (
 )
 from triplex.extraction import (
     Triple,
+    chunk_corpus,
     dedupe_and_cap,
     flag_generic,
     normalize_field,
@@ -474,16 +475,13 @@ def test_metric_properties(module_client):
 def test_refinement_safety(corpus_dir, bank, module_client):
     corpus = load_corpus(corpus_dir)
     config = PreprocessConfig(max_chunk_chars=600)
-    chunk_texts = {
-        (doc.doc_id, article_id, index): text
-        for doc in corpus.documents
-        for article_id, index, text in chunk_document(doc, config)
-    }
+    chunks = chunk_corpus(corpus, config)
+    chunk_texts = {(doc_id, article_id, index): text for doc_id, article_id, index, text in chunks}
     checked = 0
     refined_total = 0
     problems: list[str] = []
     for variant in PromptVariant:
-        run = run_extraction(corpus, variant, bank, module_client, config)
+        run = run_extraction(chunks, variant, bank, module_client)
         by_chunk: dict[tuple[str, str, int], list[Triple]] = {}
         for triple in run.triples:
             key = (triple.doc_id, triple.article_id, triple.chunk_index)

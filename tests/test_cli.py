@@ -14,7 +14,9 @@ import pytest
 
 import triplex
 from regen_golden import quickstart_manifest, run_all, run_all_eval_report, run_all_pinned
+from triplex import extraction
 from triplex.cli import main
+from triplex.corpus import chunk_document, read_corpus_jsonl
 from triplex.prompting import PromptVariant
 
 
@@ -92,6 +94,23 @@ def test_sample_rejects_all_variants(config_file, capsys):
     assert main(["extract", "--config", str(config)]) == 0
     assert main(["sample", "--config", str(config), "--variant", "all"]) == 2
     assert "single --variant" in capsys.readouterr().err
+
+
+def test_extract_of_every_variant_chunks_each_document_once(config_file, monkeypatch):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    chunked: list[str] = []
+
+    def counted(doc, preprocess_config):
+        chunked.append(doc.doc_id)
+        return chunk_document(doc, preprocess_config)
+
+    monkeypatch.setattr(extraction, "chunk_document", counted)
+    assert main(["extract", "--config", str(config), "--variant", "all"]) == 0
+    documents = read_corpus_jsonl(out_dir_of(config) / "corpus.jsonl").documents
+    assert len(documents) > 1
+    assert sorted(chunked) == sorted(doc.doc_id for doc in documents)
+    assert len(list((out_dir_of(config) / "runs").glob("*.jsonl"))) == len(PromptVariant)
 
 
 def test_deficient_example_bank_is_fatal(config_file, tmp_path, capsys):

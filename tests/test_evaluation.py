@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from triplex.evaluation import (
 )
 from triplex.extraction import ExtractionRun, Triple
 from triplex.gold import GoldTriple
+from triplex.llmclient import EmbeddingVector, EndpointConfig, make_client, mock_embedding
 from triplex.prompting import PromptVariant
 
 from oracles import best_assignment_oracle, eligible_edges_oracle, random_instance
@@ -427,6 +429,52 @@ def test_redundancy_respects_threshold(mock_client):
 def test_redundancy_rejects_empty(mock_client):
     with pytest.raises(ValueError):
         redundancy_score([], mock_client)
+
+
+_PREDICATES = ("expands trade with", "expand trade with", "ratifies", "ratified", "signed")
+
+
+def _redundancy_by_pairs(triples, embedder, threshold) -> float:
+    """Every pair of triples, each predicate pair's cosine computed again at each visit."""
+    vectors = dict(zip(_PREDICATES, embedder.embed(list(_PREDICATES))))
+    redundant = set()
+    for i, j in itertools.combinations(range(len(triples)), 2):
+        first, second = triples[i], triples[j]
+        if (first.subject, first.object) != (second.subject, second.object):
+            continue
+        if first.predicate == second.predicate:
+            cosine = 1.0
+        else:
+            cosine = vectors[first.predicate].cosine(vectors[second.predicate])
+        if cosine >= threshold:
+            redundant |= {i, j}
+    return len(redundant) / len(triples)
+
+
+# one threshold is a predicate pair's own cosine, where the verdict turns on >=
+_THRESHOLDS = (
+    0.0,
+    0.5,
+    EmbeddingVector(mock_embedding("ratifies")).cosine(EmbeddingVector(mock_embedding("ratified"))),
+    0.85,
+    1.0,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ab"), st.sampled_from(_PREDICATES), st.sampled_from("xy")),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from(_THRESHOLDS),
+)
+def test_redundancy_equals_a_plain_pairwise_loop(rows, threshold):
+    triples = [T(*row) for row in rows]
+    with make_client(EndpointConfig(seed=42), backend="mock") as client:
+        expected = _redundancy_by_pairs(triples, client, threshold)
+        assert redundancy_score(triples, client, threshold) == expected
 
 
 def test_coverage_counts_gold_entities_found():

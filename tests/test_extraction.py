@@ -26,6 +26,7 @@ from triplex.extraction import (
     REFINEMENT_PROMPT,
     ExtractionRun,
     Triple,
+    chunk_corpus,
     dedupe_and_cap,
     flag_generic,
     normalize_field,
@@ -345,7 +346,7 @@ def test_default_cap_value():
 def test_run_matches_golden(bank, mock_client, small_chunks_config, fixture_dir, golden_dir, tmp_path):
     corpus = load_corpus(fixture_dir / "corpus", limit=2)
     run = run_extraction(
-        corpus, PromptVariant.ZERO_SHOT, bank, mock_client, small_chunks_config
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, mock_client
     )
     out = tmp_path / "zero-shot-run.jsonl"
     write_run(run, out)
@@ -357,9 +358,9 @@ def test_run_matches_golden(bank, mock_client, small_chunks_config, fixture_dir,
 
 
 def test_run_stats_line_accounting(bank, mock_client, small_chunks_config, corpus_dir):
-    corpus = load_corpus(corpus_dir)
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
     for variant in PromptVariant:
-        run = run_extraction(corpus, variant, bank, mock_client, small_chunks_config)
+        run = run_extraction(chunks, variant, bank, mock_client)
         stats = run.stats
         assert stats["lines_parsed"] + stats["lines_rejected"] == stats["lines_seen"]
         assert stats["chunks_failed"] == 0
@@ -368,9 +369,9 @@ def test_run_stats_line_accounting(bank, mock_client, small_chunks_config, corpu
 
 
 def test_run_is_deterministic(bank, mock_client, small_chunks_config, corpus_dir):
-    corpus = load_corpus(corpus_dir)
-    first = run_extraction(corpus, PromptVariant.FEW_SHOT, bank, mock_client, small_chunks_config)
-    second = run_extraction(corpus, PromptVariant.FEW_SHOT, bank, mock_client, small_chunks_config)
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
+    first = run_extraction(chunks, PromptVariant.FEW_SHOT, bank, mock_client)
+    second = run_extraction(chunks, PromptVariant.FEW_SHOT, bank, mock_client)
     assert first.triples == second.triples
     assert first.stats == second.stats
     assert first.endpoint_fingerprint == second.endpoint_fingerprint
@@ -379,7 +380,9 @@ def test_run_is_deterministic(bank, mock_client, small_chunks_config, corpus_dir
 
 def test_run_results_sorted_by_provenance(bank, mock_client, small_chunks_config, corpus_dir):
     corpus = load_corpus(corpus_dir)
-    run = run_extraction(corpus, PromptVariant.ONE_SHOT, bank, mock_client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ONE_SHOT, bank, mock_client
+    )
     keys = [(t.doc_id, t.article_id, t.chunk_index) for t in run.triples]
     assert keys == sorted(keys)
 
@@ -387,21 +390,19 @@ def test_run_results_sorted_by_provenance(bank, mock_client, small_chunks_config
 def test_refinement_only_runs_for_the_negative_variant(
     bank, mock_client, small_chunks_config, corpus_dir
 ):
-    corpus = load_corpus(corpus_dir)
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
     for variant in (PromptVariant.ZERO_SHOT, PromptVariant.ONE_SHOT, PromptVariant.FEW_SHOT):
-        run = run_extraction(corpus, variant, bank, mock_client, small_chunks_config)
+        run = run_extraction(chunks, variant, bank, mock_client)
         assert run.stats["refined_count"] == 0
         assert run.stats["refine_failures"] == 0
-    negative = run_extraction(
-        corpus, PromptVariant.NEGATIVE_EXAMPLES, bank, mock_client, small_chunks_config
-    )
+    negative = run_extraction(chunks, PromptVariant.NEGATIVE_EXAMPLES, bank, mock_client)
     assert negative.stats["refined_count"] > 0
 
 
 def test_empty_corpus_returns_empty_run(bank, mock_client, small_chunks_config):
     corpus = CorpusIndex(documents=())
     run = run_extraction(
-        corpus, PromptVariant.ZERO_SHOT, bank, mock_client, small_chunks_config
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, mock_client
     )
     assert run.triples == []
     assert run.stats["chunks_processed"] == 0
@@ -411,7 +412,9 @@ def test_empty_corpus_returns_empty_run(bank, mock_client, small_chunks_config):
 def test_junk_only_replies_reject_every_line(bank, small_chunks_config, corpus_dir):
     client = scripted_client("no triples in here\njust chatter")
     corpus = load_corpus(corpus_dir)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+    )
     assert run.triples == []
     assert run.stats["lines_seen"] > 0
     assert run.stats["lines_rejected"] == run.stats["lines_seen"]
@@ -422,7 +425,9 @@ def test_junk_only_replies_reject_every_line(bank, small_chunks_config, corpus_d
 def test_a_line_that_normalizes_to_an_empty_field_counts_as_rejected(bank, small_chunks_config):
     client = scripted_client("(Japan | signed | cars)\n(... | signed | Japan)\nchatter")
     corpus = synthetic_corpus(["Japan signed an agreement on cars."])
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+    )
     assert [(t.subject, t.predicate, t.object) for t in run.triples] == [("japan", "signed", "cars")]
     stats = run.stats
     assert (stats["lines_seen"], stats["lines_parsed"], stats["lines_rejected"]) == (3, 1, 2)
@@ -439,7 +444,9 @@ def test_all_chunks_failing_raises_extraction_error(bank, small_chunks_config, c
     client = LlmClient(EndpointConfig(), DownTransport())
     corpus = load_corpus(corpus_dir)
     with pytest.raises(ExtractionError):
-        run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+        run_extraction(
+            chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+        )
 
 
 def test_single_chunk_failure_is_recorded_not_fatal(bank, small_chunks_config, corpus_dir):
@@ -453,7 +460,9 @@ def test_single_chunk_failure_is_recorded_not_fatal(bank, small_chunks_config, c
         return "(Canada | exports | wheat)"
 
     client = scripted_client(reply, max_parallel=1)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+    )
     assert run.stats["chunks_failed"] == 1
     assert run.stats["chunks_processed"] >= 1
     assert run.triples
@@ -464,7 +473,9 @@ def test_complex_predicate_counter(bank, small_chunks_config, corpus_dir):
         "(Japan | agrees to cooperate closely on all matters | Thailand)"
     )
     corpus = load_corpus(corpus_dir, limit=1)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+    )
     assert run.stats["complex_predicates"] == run.stats["chunks_processed"]
     assert run.stats["duplicates_removed"] > 0  # same reply per chunk dedupes
 
@@ -515,7 +526,9 @@ def test_fatal_error_stops_extraction_promptly(rejected, bank, small_chunks_conf
     client = LlmClient(EndpointConfig(max_parallel_requests=2), transport)
     corpus = synthetic_corpus(f"Japan exports {i} cars to Thailand." for i in range(120))
     with pytest.raises(ConfigurationError):
-        run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+        run_extraction(
+            chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+        )
     assert 1 <= transport.calls <= 4
 
 
@@ -534,7 +547,9 @@ def test_two_fatal_chunks_raise_the_first_failing_chunks_error(bank, small_chunk
     client = scripted_client(chat, max_parallel=2)
     corpus = synthetic_corpus(script)
     with pytest.raises(ConfigurationError, match="^endpoint rejected chunk 1$"):
-        run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+        run_extraction(
+            chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+        )
 
 
 def reference_prompt(template: str, bank, chunk: str) -> str:
@@ -578,7 +593,9 @@ def test_run_sends_byte_identical_prompts(bank, small_chunks_config, corpus_dir)
     for example_bank in (bank, odd_bank):
         for variant in PromptVariant:
             client = scripted_client("(Canada | exports | wheat)")
-            run_extraction(corpus, variant, example_bank, client, small_chunks_config, templates)
+            run_extraction(
+                chunk_corpus(corpus, small_chunks_config), variant, example_bank, client, templates
+            )
             expected = [
                 reference_prompt(templates.template(variant), example_bank, text)
                 for text in chunks
@@ -587,13 +604,13 @@ def test_run_sends_byte_identical_prompts(bank, small_chunks_config, corpus_dir)
 
 
 def test_worker_count_never_changes_the_run(bank, small_chunks_config, corpus_dir):
-    corpus = load_corpus(corpus_dir)
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
     mock = MockTransport(seed=7)
     for variant in PromptVariant:
         runs = []
         for workers in (1, 4):
             client = scripted_client(mock.chat, max_parallel=workers)
-            runs.append(run_extraction(corpus, variant, bank, client, small_chunks_config))
+            runs.append(run_extraction(chunks, variant, bank, client))
         serial, threaded = runs
         assert serial.triples == threaded.triples
         assert serial.stats == threaded.stats
@@ -603,12 +620,11 @@ def test_worker_count_never_changes_the_run(bank, small_chunks_config, corpus_di
 def test_many_workers_take_each_chunk_exactly_once(bank, small_chunks_config):
     texts = [f"Japan exports {i} cars to Thailand." for i in range(300)]
     client = scripted_client("(Japan | exports | cars)", max_parallel=8)
+    chunks = chunk_corpus(synthetic_corpus(texts), small_chunks_config)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run = run_extraction(
-            synthetic_corpus(texts), PromptVariant.ZERO_SHOT, bank, client, small_chunks_config
-        )
+        run = run_extraction(chunks, PromptVariant.ZERO_SHOT, bank, client)
     finally:
         sys.setswitchinterval(interval)
     sent = sorted(p.rsplit("\nText:\n", 1)[-1].strip() for p in client.transport.prompts)
@@ -624,7 +640,9 @@ def test_many_workers_take_each_chunk_exactly_once(bank, small_chunks_config):
 
 def test_write_read_round_trip(bank, mock_client, small_chunks_config, corpus_dir, tmp_path):
     corpus = load_corpus(corpus_dir, limit=2)
-    run = run_extraction(corpus, PromptVariant.FEW_SHOT, bank, mock_client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.FEW_SHOT, bank, mock_client
+    )
     path = tmp_path / "few-shot.jsonl"
     write_run(run, path)
     back = read_run(path)
@@ -639,7 +657,9 @@ def test_read_run_without_sidecar_recovers_triples(
     bank, mock_client, small_chunks_config, corpus_dir, tmp_path
 ):
     corpus = load_corpus(corpus_dir, limit=1)
-    run = run_extraction(corpus, PromptVariant.ONE_SHOT, bank, mock_client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ONE_SHOT, bank, mock_client
+    )
     path = tmp_path / "one-shot.jsonl"
     write_run(run, path)
     (tmp_path / "one-shot.stats.json").unlink()
@@ -654,7 +674,9 @@ def test_read_run_rejects_a_record_naming_another_variant(
     bank, mock_client, small_chunks_config, corpus_dir, tmp_path, sidecar
 ):
     corpus = load_corpus(corpus_dir, limit=1)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, mock_client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, mock_client
+    )
     path = tmp_path / "zero-shot.jsonl"
     write_run(run, path)
     if not sidecar:
@@ -669,7 +691,9 @@ def test_read_run_rejects_a_record_naming_another_variant(
 
 def test_write_run_is_valid_jsonl(bank, mock_client, small_chunks_config, corpus_dir, tmp_path):
     corpus = load_corpus(corpus_dir, limit=2)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, mock_client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, mock_client
+    )
     path = tmp_path / "run.jsonl"
     write_run(run, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -768,3 +792,189 @@ def test_read_run_names_the_line_and_fault_of_a_record_write_run_would_not_write
     with pytest.raises(ConfigurationError) as caught:
         read_run(path)
     assert str(caught.value) == f"corrupt run file {path}, line 2: {reason}"
+
+
+# a JSON value of each type, given in turn to each key of a record
+_JSON_VALUES = {
+    "string": "x", "integer": 7, "true": True, "float": 1.5, "null": None, "list": [], "object": {},
+}
+_RECORD_KEYS = tuple(Triple.__dataclass_fields__)
+
+
+def _set(**values):
+    return lambda record: {**record, **values}
+
+
+def _without(*keys):
+    return lambda record: {k: v for k, v in record.items() if k not in keys}
+
+
+def _reversed(edit):
+    return lambda record: dict(reversed(edit(record).items()))
+
+
+_RECORD_EDITS = {
+    **{
+        f"{key} {kind}": _set(**{key: value})
+        for key in _RECORD_KEYS
+        for kind, value in _JSON_VALUES.items()
+    },
+    **{f"no {key}": _without(key) for key in _RECORD_KEYS},
+    "no flags": _without("generic_subject", "generic_object"),
+    "extra key": _set(note="x"),
+    "extra key for a flag": lambda record: {**_without("generic_object")(record), "note": False},
+    "extra key for both flags": lambda record: {
+        **_without("generic_subject", "generic_object")(record), "note": "x"
+    },
+    "other variant": _set(variant="zero-shot"),
+    "reordered, no generic_subject": _reversed(_without("generic_subject")),
+    **{f"record {kind}": lambda record, value=value: value for kind, value in _JSON_VALUES.items()},
+    "subject and chunk_index wrong": _set(subject=7, chunk_index="x"),
+    "reversed, subject and chunk_index wrong": _reversed(_set(subject=7, chunk_index="x")),
+    "extra key and subject wrong": _set(note="x", subject=7),
+    "other variant and subject wrong": _set(variant="zero-shot", subject=7),
+    "unknown variant and no subject": lambda record: {**_without("subject")(record), "variant": "x"},
+    "no subject and no variant": _without("subject", "variant"),
+}
+_VALID_NAMES = "; valid names: zero-shot, one-shot, few-shot, negative-examples"
+# what read_run makes of the record of each edit: the fields it loads differently from the
+# triple written, or the reason it gives for refusing the record
+_READ_OUTCOMES = {
+    "subject string": {"subject": "x"},
+    "subject integer": "subject must be a string, got 7",
+    "subject true": "subject must be a string, got true",
+    "subject float": "subject must be a string, got 1.5",
+    "subject null": "subject must be a string, got null",
+    "subject list": "subject must be a string, got []",
+    "subject object": "subject must be a string, got {}",
+    "predicate string": {"predicate": "x"},
+    "predicate integer": "predicate must be a string, got 7",
+    "predicate true": "predicate must be a string, got true",
+    "predicate float": "predicate must be a string, got 1.5",
+    "predicate null": "predicate must be a string, got null",
+    "predicate list": "predicate must be a string, got []",
+    "predicate object": "predicate must be a string, got {}",
+    "object string": {"object": "x"},
+    "object integer": "object must be a string, got 7",
+    "object true": "object must be a string, got true",
+    "object float": "object must be a string, got 1.5",
+    "object null": "object must be a string, got null",
+    "object list": "object must be a string, got []",
+    "object object": "object must be a string, got {}",
+    "doc_id string": {"doc_id": "x"},
+    "doc_id integer": "doc_id must be a string, got 7",
+    "doc_id true": "doc_id must be a string, got true",
+    "doc_id float": "doc_id must be a string, got 1.5",
+    "doc_id null": "doc_id must be a string, got null",
+    "doc_id list": "doc_id must be a string, got []",
+    "doc_id object": "doc_id must be a string, got {}",
+    "article_id string": {"article_id": "x"},
+    "article_id integer": "article_id must be a string, got 7",
+    "article_id true": "article_id must be a string, got true",
+    "article_id float": "article_id must be a string, got 1.5",
+    "article_id null": "article_id must be a string, got null",
+    "article_id list": "article_id must be a string, got []",
+    "article_id object": "article_id must be a string, got {}",
+    "chunk_index string": 'chunk_index must be an integer, got "x"',
+    "chunk_index integer": {"chunk_index": 7},
+    "chunk_index true": "chunk_index must be an integer, got true",
+    "chunk_index float": "chunk_index must be an integer, got 1.5",
+    "chunk_index null": "chunk_index must be an integer, got null",
+    "chunk_index list": "chunk_index must be an integer, got []",
+    "chunk_index object": "chunk_index must be an integer, got {}",
+    "variant string": "unknown prompt variant 'x'" + _VALID_NAMES,
+    "variant integer": "unknown prompt variant 7" + _VALID_NAMES,
+    "variant true": "unknown prompt variant True" + _VALID_NAMES,
+    "variant float": "unknown prompt variant 1.5" + _VALID_NAMES,
+    "variant null": "unknown prompt variant None" + _VALID_NAMES,
+    "variant list": "unknown prompt variant []" + _VALID_NAMES,
+    "variant object": "unknown prompt variant {}" + _VALID_NAMES,
+    "generic_subject string": 'generic_subject must be true or false, got "x"',
+    "generic_subject integer": "generic_subject must be true or false, got 7",
+    "generic_subject true": {},
+    "generic_subject float": "generic_subject must be true or false, got 1.5",
+    "generic_subject null": "generic_subject must be true or false, got null",
+    "generic_subject list": "generic_subject must be true or false, got []",
+    "generic_subject object": "generic_subject must be true or false, got {}",
+    "generic_object string": 'generic_object must be true or false, got "x"',
+    "generic_object integer": "generic_object must be true or false, got 7",
+    "generic_object true": {},
+    "generic_object float": "generic_object must be true or false, got 1.5",
+    "generic_object null": "generic_object must be true or false, got null",
+    "generic_object list": "generic_object must be true or false, got []",
+    "generic_object object": "generic_object must be true or false, got {}",
+    "no subject": (
+        'TypeError("Triple.__init__() missing 1 required positional argument: \'subject\'")'
+    ),
+    "no predicate": (
+        'TypeError("Triple.__init__() missing 1 required positional argument: \'predicate\'")'
+    ),
+    "no object": (
+        'TypeError("Triple.__init__() missing 1 required positional argument: \'object\'")'
+    ),
+    "no doc_id": (
+        'TypeError("Triple.__init__() missing 1 required positional argument: \'doc_id\'")'
+    ),
+    "no article_id": (
+        'TypeError("Triple.__init__() missing 1 required positional argument: \'article_id\'")'
+    ),
+    "no chunk_index": (
+        'TypeError("Triple.__init__() missing 1 required positional argument: \'chunk_index\'")'
+    ),
+    "no variant": "KeyError('variant')",
+    "no generic_subject": {"generic_subject": False},
+    "no generic_object": {"generic_object": False},
+    "no flags": {"generic_subject": False, "generic_object": False},
+    "extra key": 'TypeError("Triple.__init__() got an unexpected keyword argument \'note\'")',
+    "extra key for a flag": (
+        'TypeError("Triple.__init__() got an unexpected keyword argument \'note\'")'
+    ),
+    "extra key for both flags": (
+        'TypeError("Triple.__init__() got an unexpected keyword argument \'note\'")'
+    ),
+    "other variant": "record names zero-shot, the run negative-examples",
+    "reordered, no generic_subject": {"generic_subject": False},
+    "record string": 'AttributeError("\'str\' object has no attribute \'pop\'")',
+    "record integer": 'AttributeError("\'int\' object has no attribute \'pop\'")',
+    "record true": 'AttributeError("\'bool\' object has no attribute \'pop\'")',
+    "record float": 'AttributeError("\'float\' object has no attribute \'pop\'")',
+    "record null": 'AttributeError("\'NoneType\' object has no attribute \'pop\'")',
+    "record list": 'TypeError("\'str\' object cannot be interpreted as an integer")',
+    "record object": "KeyError('variant')",
+    "subject and chunk_index wrong": "subject must be a string, got 7",
+    "reversed, subject and chunk_index wrong": 'chunk_index must be an integer, got "x"',
+    "extra key and subject wrong": "subject must be a string, got 7",
+    "other variant and subject wrong": "record names zero-shot, the run negative-examples",
+    "unknown variant and no subject": "unknown prompt variant 'x'" + _VALID_NAMES,
+    "no subject and no variant": "KeyError('variant')",
+}
+
+
+@pytest.mark.parametrize("case", list(_READ_OUTCOMES))
+def test_read_run_outcome_of_an_edited_record_is_pinned(tmp_path, case):
+    triples = [
+        make_triple("japan", "exports", f"cars {i}", generic_subject=True, generic_object=True)
+        for i in range(3)
+    ]
+    outcome = _READ_OUTCOMES[case]
+    # the record edited, and whether a sidecar names the run's variant; without one, the
+    # first record does, so another variant there is not a fault of that record
+    layouts = [(2, True), (2, False)]
+    if not case.startswith("other variant"):
+        layouts.append((1, False))
+    for line, sidecar in layouts:
+        path = tmp_path / f"line-{line}-sidecar-{sidecar}" / "negative-examples.jsonl"
+        write_run(replace(_run_of(triples), variant=PromptVariant.NEGATIVE_EXAMPLES), path)
+        if not sidecar:
+            path.with_suffix(".stats.json").unlink()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[line - 1] = json.dumps(_RECORD_EDITS[case](json.loads(lines[line - 1])))
+        path.write_text("\n".join(lines), encoding="utf-8")
+        if isinstance(outcome, dict):
+            expected = list(triples)
+            expected[line - 1] = replace(triples[line - 1], **outcome)
+            assert read_run(path).triples == expected
+            continue
+        with pytest.raises(ConfigurationError) as caught:
+            read_run(path)
+        assert str(caught.value) == f"corrupt run file {path}, line {line}: {outcome}"

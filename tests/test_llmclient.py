@@ -23,7 +23,7 @@ import pytest
 from triplex import cli
 from triplex.corpus import load_corpus
 from triplex.errors import ConfigurationError, TransportError
-from triplex.extraction import parse_triples, run_extraction
+from triplex.extraction import chunk_corpus, parse_triples, run_extraction
 from triplex.llmclient import (
     EMBEDDING_DIM,
     EMPTY_CASE_TOKEN,
@@ -397,7 +397,9 @@ def test_live_extract_fails_only_the_chunk_a_run_of_429s_answers(
     server.transports.append(transport)
     corpus = load_corpus(corpus_dir, limit=1)
     client = LlmClient(config, transport)
-    run = run_extraction(corpus, PromptVariant.ZERO_SHOT, bank, client, small_chunks_config)
+    run = run_extraction(
+        chunk_corpus(corpus, small_chunks_config), PromptVariant.ZERO_SHOT, bank, client
+    )
     assert run.stats["chunks_failed"] == 1
     assert run.stats["chunks_processed"] == len(server.requests) - 2 > 0
 
@@ -588,11 +590,35 @@ def test_endpoint_url_without_http_scheme_or_host_is_fatal(monkeypatch, base_url
 
 
 def _join_all(threads: list[threading.Thread], timeout_s: float) -> None:
+    """Run ``threads`` to the end; the first exception a thread died of is raised here."""
+    errors: list[Exception] = []
+
+    def catching(run):
+        def wrapper():
+            try:
+                run()
+            except Exception as exc:
+                errors.append(exc)
+
+        return wrapper
+
     for thread in threads:
+        thread.run = catching(thread.run)
         thread.start()
     for thread in threads:
         thread.join(timeout=timeout_s)
         assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+
+
+def test_join_all_raises_what_a_worker_thread_died_of():
+    def reset() -> None:
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    threads = [threading.Thread(target=reset), threading.Thread(target=lambda: None)]
+    with pytest.raises(ConnectionResetError, match="Connection reset by peer"):
+        _join_all(threads, timeout_s=10)
 
 
 def test_http_pools_connections_up_to_the_requests_in_flight(serve):

@@ -8,7 +8,7 @@ import pytest
 
 from triplex.corpus import load_corpus
 from triplex.evaluation import Metrics, PredicateDistribution, predicate_distribution
-from triplex.extraction import run_extraction
+from triplex.extraction import chunk_corpus, run_extraction
 from triplex.prompting import PromptVariant
 from triplex.report import (
     VARIANT_ORDER,
@@ -190,10 +190,10 @@ def test_heatmap_svg_contains_labels_and_remainders():
 def test_heatmap_matches_golden(
     bank, mock_client, small_chunks_config, corpus_dir, golden_dir
 ):
-    corpus = load_corpus(corpus_dir)
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
     distributions = {}
     for variant in PromptVariant:
-        run = run_extraction(corpus, variant, bank, mock_client, small_chunks_config)
+        run = run_extraction(chunks, variant, bank, mock_client)
         distributions[variant.value] = predicate_distribution(run.triples)
     spec = heatmap_spec_from_distributions(distributions, top_k=15)
     assert len(spec.rows) == 15
