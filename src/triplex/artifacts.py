@@ -25,7 +25,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "write_text", "write_json", "write_jsonl", "read_text", "read_json", "read_jsonl",
-    "typed", "reject_unknown", "from_json",
+    "typed", "required", "reject_unknown", "from_json",
 ]
 
 T = TypeVar("T")
@@ -150,6 +150,13 @@ def typed(key: str, value: object, hint: object) -> object:
             return tuple(typed(f"{key}[{i}]", *pair) for i, pair in enumerate(zip(value, items)))
     expected = _expected(kind) + (" or null" if type(None) in kinds else "")
     raise ConfigurationError(f"{key} must be {expected}, got {json.dumps(value)[:200]}")
+
+
+def required(obj: dict, prefix: str, key: str, hint: object = object) -> object:
+    """``obj[key]``, found at ``prefix + key``; it must be present and fit ``hint``, if given."""
+    if key not in obj:
+        raise ConfigurationError(f"{prefix}{key} is required")
+    return obj[key] if hint is object else typed(prefix + key, obj[key], hint)
 
 
 def reject_unknown(prefix: str, obj: dict, valid: Iterable[str]) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .artifacts import read_json, typed, write_json
+from .artifacts import read_json, required, typed, write_json
 from .config import PipelineConfig, load_config
 from .corpus import load_corpus, preprocess_index, read_corpus_jsonl, write_corpus_jsonl
 from .errors import ConfigurationError, ExtractionError, TriplexError
@@ -184,25 +184,18 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
     return EXIT_OK
 
 
-def _required(obj: dict, prefix: str, key: str, hint: object) -> object:
-    """``obj[key]``, found at ``prefix + key``, which must be present and fit ``hint``."""
-    if key not in obj:
-        raise ConfigurationError(f"{prefix}{key} is required")
-    return typed(prefix + key, obj[key], hint)
-
-
 def _table_results(eval_report: object) -> dict[str, dict[str, Metrics]]:
     """The exact and semantic P/R/F1 of each variant in an eval report."""
-    variants = _required(typed("the top level", eval_report, dict), "", "variants", dict)
+    variants = required(typed("the top level", eval_report, dict), "", "variants", dict)
     table: dict[str, dict[str, Metrics]] = {}
     for variant, entry in variants.items():
         where = f"variants.{variant}"
         typed(where, entry, dict)
         table[variant] = {}
         for mode in ("exact", "semantic"):
-            scores = _required(entry, f"{where}.", mode, dict)
+            scores = required(entry, f"{where}.", mode, dict)
             table[variant][mode] = Metrics(**{
-                key: _required(scores, f"{where}.{mode}.", key, float)
+                key: required(scores, f"{where}.{mode}.", key, float)
                 for key in ("precision", "recall", "f1")
             })
     return table

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .artifacts import read_jsonl, typed, write_jsonl
+from .artifacts import read_jsonl, required, typed, write_jsonl
 from .defaults import default_filler_terms, default_stopwords
 from .errors import ConfigurationError
 
@@ -305,20 +305,21 @@ def _document_record(doc: AgreementDocument) -> dict:
     }
 
 
-def _document(record: dict) -> AgreementDocument:
+def _document(record: object) -> AgreementDocument:
     """The document one cache line holds; each key must be present and of its field's type."""
+    record = typed("the record", record, dict)
     return AgreementDocument(
-        doc_id=typed("doc_id", record["doc_id"], str),
-        party_a=typed("party_a", record["party_a"], str | None),
-        party_b=typed("party_b", record["party_b"], str | None),
-        sectors=typed("sectors", record["sectors"], tuple[str, ...]),
+        doc_id=required(record, "", "doc_id", str),
+        party_a=required(record, "", "party_a", str | None),
+        party_b=required(record, "", "party_b", str | None),
+        sectors=required(record, "", "sectors", tuple[str, ...]),
         articles=tuple(
             ArticleUnit(
-                typed(f"articles[{i}].article_id", a["article_id"], str),
+                required(a, f"articles[{i}].", "article_id", str),
                 raw_text="",
-                clean_text=typed(f"articles[{i}].clean_text", a["clean_text"], str),
+                clean_text=required(a, f"articles[{i}].", "clean_text", str),
             )
-            for i, a in enumerate(typed("articles", record["articles"], tuple[dict, ...]))
+            for i, a in enumerate(required(record, "", "articles", tuple[dict, ...]))
         ),
     )
 

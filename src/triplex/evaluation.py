@@ -22,7 +22,7 @@ import enum
 import io
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .errors import ConfigurationError
-from .extraction import _FIELD_NAMES, ExtractionRun, Triple, _fields
+from .extraction import ExtractionRun, Triple
 from .gold import GoldTriple
 
 __all__ = [
@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_REDUNDANCY_THRESHOLD = 0.9
+# (subject, predicate, object) of anything match takes: a triple, a gold triple or the like
+_fields = attrgetter(*GoldTriple._fields)
 
 ANNOTATION_METRICS = (
     "relation_validation",
@@ -342,28 +344,29 @@ def redundancy_score(
     """
     if not triples:
         raise ValueError("redundancy_score requires at least one triple")
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, triple in enumerate(triples):
-        groups.setdefault((triple.subject, triple.object), []).append(i)
-    multi = [indices for indices in groups.values() if len(indices) > 1]
+    # per (subject, object) pair, how many triples hold each predicate
+    groups: defaultdict[tuple[str, str], Counter[str]] = defaultdict(Counter)
+    for triple in triples:
+        groups[triple.subject, triple.object][triple.predicate] += 1
+    multi = [counts for counts in groups.values() if counts.total() > 1]
     if not multi:
         return 0.0
-    predicates = sorted({triples[i].predicate for indices in multi for i in indices})
+    predicates = sorted({predicate for counts in multi for predicate in counts})
     vectors = dict(zip(predicates, embedder.embed(predicates)))
-    # the verdict of each ordered predicate pair, computed at its first visit
+    # each sorted pair of distinct predicates' verdict, at its first visit (cosine is symmetric)
     near: dict[tuple[str, str], bool] = {}
-    redundant: set[int] = set()
-    for indices in multi:
-        for i, j in itertools.combinations(indices, 2):
-            pair = triples[i].predicate, triples[j].predicate
+    redundant = 0
+    for counts in multi:
+        # a repeated predicate's triples near-duplicate each other: their cosine is 1.0
+        marked = {predicate for predicate, n in counts.items() if n > 1 and 1.0 >= threshold}
+        for pair in itertools.combinations(sorted(counts), 2):
             verdict = near.get(pair)
             if verdict is None:
-                pred_i, pred_j = pair
-                cosine = 1.0 if pred_i == pred_j else vectors[pred_i].cosine(vectors[pred_j])
-                verdict = near[pair] = cosine >= threshold
+                verdict = near[pair] = vectors[pair[0]].cosine(vectors[pair[1]]) >= threshold
             if verdict:
-                redundant.update((i, j))
-    return len(redundant) / len(triples)
+                marked.update(pair)
+        redundant += sum(map(counts.__getitem__, marked))
+    return redundant / len(triples)
 
 
 def coverage_score(predicted: Sequence[Triple], gold: Sequence[GoldTriple]) -> float:
@@ -400,10 +403,8 @@ def sample_for_annotation(run: ExtractionRun, n: int, seed: int) -> list[Annotat
     return [AnnotationRecord(triple=triples[i]) for i in chosen]
 
 
-# the scoresheet's columns: the triple's, one per quality dimension, then a comment
-_TRIPLE_COLUMNS = (*_FIELD_NAMES, "doc_id", "article_id", "chunk_index", "variant")
-_CSV_COLUMNS = (*_TRIPLE_COLUMNS, *ANNOTATION_METRICS, "comment")
-_triple_cells = attrgetter(*_TRIPLE_COLUMNS)
+# the scoresheet's columns: the triple's up to its variant, one per quality dimension, a comment
+_CSV_COLUMNS = (*Triple._fields[:7], *ANNOTATION_METRICS, "comment")
 
 
 def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) -> None:
@@ -416,7 +417,7 @@ def write_annotation_csv(records: Sequence[AnnotationRecord], path: str | Path) 
     writer = csv.writer(buffer)
     writer.writerow(_CSV_COLUMNS)
     for record in records:
-        *cells, variant = _triple_cells(record.triple)
+        *cells, variant = record.triple[:7]
         scores = [record.scores.get(m) for m in ANNOTATION_METRICS]
         scores = ["" if score is None else score for score in scores]
         writer.writerow([*cells, variant.value, *scores, record.comment])

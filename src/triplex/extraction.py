@@ -12,13 +12,12 @@ import functools
 import re
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
-from .artifacts import read_json, read_jsonl, typed, write_json, write_text
+from .artifacts import read_json, read_jsonl, required, typed, write_json, write_text
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
 from .errors import ConfigurationError, ExtractionError, TransportError
@@ -47,9 +46,6 @@ COMPLEX_PREDICATE_TOKENS = 4
 _QUOTED_TUPLE_RE = re.compile(
     r"""^\(?\s*(['"])(?P<s>.*?)\1\s*,\s*(['"])(?P<p>.*?)\3\s*,\s*(['"])(?P<o>.*?)\5\s*\)?\s*[.,;]?\s*$"""
 )
-_FIELD_NAMES = ("subject", "predicate", "object")
-# reads (subject, predicate, object) off a candidate, a triple or a gold triple
-_fields = attrgetter(*_FIELD_NAMES)
 # one chunk of a document: (doc_id, article_id, chunk_index, text)
 Chunk = tuple[str, str, int, str]
 # no closer is ".", so at most one of normalize_field's strip rules fits a text
@@ -68,8 +64,7 @@ Text:
 {chunk}"""
 
 
-@dataclass(frozen=True)
-class TripleCandidate:
+class TripleCandidate(NamedTuple):
     """A raw parsed triple before normalization."""
 
     subject: str
@@ -79,8 +74,7 @@ class TripleCandidate:
     line_number: int
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """A normalized triple with provenance and generic-term flags."""
 
     subject: str
@@ -151,7 +145,7 @@ def parse_triples(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int,
                 rejections.append((number, raw_line, "not a recognizable triple line"))
                 continue
             fields = [field.strip() for field in quoted.group("s", "p", "o")]
-        empty = [name for name, field in zip(_FIELD_NAMES, fields) if not field]
+        empty = [name for name, field in zip(TripleCandidate._fields, fields) if not field]
         if empty:
             rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
             continue
@@ -228,7 +222,7 @@ def refine_generic(
             if changes:
                 refined_count += 1
                 # an accepted replacement is non-generic; a field not replaced keeps its flag
-                triple = replace(triple, **changes, **{f"generic_{n}": False for n in changes})
+                triple = triple._replace(**changes, **{f"generic_{n}": False for n in changes})
         refined.append(triple)
     return refined, refined_count, failures
 
@@ -322,7 +316,7 @@ def run_extraction(
         candidates, rejections = parse_triples(reply)
         triples: list[Triple] = []
         for candidate in candidates:
-            s, p, o = map(normalize_field, _fields(candidate))
+            s, p, o = map(normalize_field, candidate[:3])
             if s and p and o:
                 triples.append(Triple(
                     s, p, o, doc_id, article_id, chunk_index, variant,
@@ -367,11 +361,11 @@ def run_extraction(
     return run
 
 
-_TRIPLE_FIELDS = tuple(f.name for f in dataclass_fields(Triple))
+_TRIPLE_FIELDS = Triple._fields
 _TRIPLE_HINTS = typing.get_type_hints(Triple)
 _TRIPLE_KEYS = frozenset(_TRIPLE_FIELDS)
-# a record's value for an absent key: the field's default, or MISSING, whose type fits no field
-_FIELD_DEFAULTS = tuple(f.default for f in dataclass_fields(Triple))
+# a record's value for an absent key: the field's default, or None, whose type fits no field
+_FIELD_DEFAULTS = tuple(map(Triple._field_defaults.get, _TRIPLE_FIELDS))
 # the type of each value in a valid record, in field order; the variant is stored as its name
 _RECORD_TYPES = [
     str if _TRIPLE_HINTS[name] is PromptVariant else _TRIPLE_HINTS[name] for name in _TRIPLE_FIELDS
@@ -385,11 +379,7 @@ _JSON_VALUE = {
     bool: {True: "true", False: "false"}.__getitem__,
     PromptVariant: {v: encode_basestring(v.value) for v in PromptVariant}.__getitem__,
 }
-# each field's getter and encoder; attrgetter, for vars(triple) would leave each triple a
-# lasting __dict__, which the garbage collector then scans for as long as the run is alive
-_LINE_COLUMNS = tuple(
-    (attrgetter(name), _JSON_VALUE[_TRIPLE_HINTS[name]]) for name in _TRIPLE_FIELDS
-)
+_FIELD_ENCODERS = [_JSON_VALUE[_TRIPLE_HINTS[name]] for name in _TRIPLE_FIELDS]
 # json.dumps(record, ensure_ascii=False) of a triple's record, every field in declared order
 _RUN_LINE = "{%s}\n" % ", ".join(
     f"{encode_basestring(name)}: {'%d' if _TRIPLE_HINTS[name] is int else '%s'}"
@@ -413,8 +403,8 @@ def _run_meta(meta: object) -> dict:
 def write_run(run: ExtractionRun, path: str | Path) -> None:
     """Write a run as JSONL (one triple per line) plus a ``.stats.json`` sidecar."""
     target = Path(path)
-    # one lazy column of encoded values per field, zipped into each triple's line values
-    columns = (map(encode, map(get, run.triples)) for get, encode in _LINE_COLUMNS)
+    # the triples transposed into one column per field, each encoded lazily, zipped back per line
+    columns = map(map, _FIELD_ENCODERS, zip(*run.triples))
     write_text(target, "".join(map(_RUN_LINE.__mod__, zip(*columns))))
     write_json(
         target.with_suffix(".stats.json"),
@@ -430,17 +420,23 @@ def write_run(run: ExtractionRun, path: str | Path) -> None:
 def _raise_corrupt(record: object, variant: PromptVariant | None) -> typing.NoReturn:
     """Raise what is wrong with a record of a ``variant`` run that read_run refused.
 
-    Walks the record key by key in its own order, so the fault named is the
-    first one there: a missing or unknown variant, another run's variant, a
-    value of the wrong type, then a missing or undeclared key.
+    The first of: no object, a missing or unknown variant, another run's variant, a wrong
+    type (in the record's key order), an undeclared key, a missing field (in field order).
+    read_run refuses no record that has none of these faults.
     """
-    named = PromptVariant(record.pop("variant"))
+    record = typed("the record", record, dict)
+    named = PromptVariant(required(record, "", "variant"))
     if variant is not None and named is not variant:
         raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
-    # an undeclared key passes as it is, for Triple to reject by name
-    values = {k: typed(k, v, _TRIPLE_HINTS.get(k, type(v))) for k, v in record.items()}
-    Triple(**values, variant=named)
-    raise AssertionError(f"read_run refused a record that builds a triple: {record}")
+    for key, value in record.items():
+        if key in _TRIPLE_KEYS:
+            typed(key, value, _TRIPLE_HINTS[key])
+    for key in record:
+        if key not in _TRIPLE_KEYS:
+            raise ConfigurationError(f"unknown key {key}")
+    for name, default in zip(_TRIPLE_FIELDS, _FIELD_DEFAULTS):
+        if default is None:
+            required(record, "", name)
 
 
 def read_run(path: str | Path) -> ExtractionRun:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .artifacts import read_text
 from .errors import GoldValidationError
-from .extraction import _FIELD_NAMES, normalize_field
+from .extraction import normalize_field
 
 __all__ = ["GoldTriple", "GoldSet", "load_gold"]
 
@@ -65,13 +65,13 @@ def load_gold(path: str | Path) -> GoldSet:
 
     (header_number, header), *rows = rows
     columns = [c.strip().lower() for c in header]
-    missing = [c for c in _FIELD_NAMES if c not in columns]
+    missing = [c for c in GoldTriple._fields if c not in columns]
     if missing:
         raise GoldValidationError(
             f"gold file {source} header (row {header_number}) lacks columns: "
             f"{', '.join(missing)}"
         )
-    idx = [columns.index(c) for c in _FIELD_NAMES]
+    idx = [columns.index(c) for c in GoldTriple._fields]
 
     # insertion-ordered, so the first occurrence of each triple keeps its place
     triples: dict[GoldTriple, None] = {}
@@ -80,7 +80,7 @@ def load_gold(path: str | Path) -> GoldSet:
     for number, row in rows:
         row += [""] * (len(columns) - len(row))  # a short row's missing cells read as empty
         triple = GoldTriple(*(normalize_field(row[i]) for i in idx))
-        empty = [name for name, value in zip(_FIELD_NAMES, triple) if not value]
+        empty = [name for name, value in zip(GoldTriple._fields, triple) if not value]
         if empty:
             empty_rows.append(f"row {number}: empty {', '.join(empty)}")
         elif triple in triples:

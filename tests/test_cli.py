@@ -299,7 +299,23 @@ def test_corpus_cache_record_lacking_a_key_is_fatal_and_names_file_and_line(
     cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["extract", "--config", str(config)]) == 2
-    assert f"corrupt corpus cache {cache}, line 2: KeyError('{key}')" in capsys.readouterr().err
+    where = "articles[0]." if key == "clean_text" else ""
+    assert f"corrupt corpus cache {cache}, line 2: {where}{key} is required" in capsys.readouterr().err
+
+
+def test_corpus_cache_line_that_is_not_an_object_is_fatal_and_names_itself(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    cache = out_dir_of(config) / "corpus.jsonl"
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    lines[1] = "[]"
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config)]) == 2
+    assert (
+        f"corrupt corpus cache {cache}, line 2: the record must be an object, got []"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(

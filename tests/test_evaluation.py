@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import random
 
 import numpy as np
@@ -451,13 +452,16 @@ def _redundancy_by_pairs(triples, embedder, threshold) -> float:
     return len(redundant) / len(triples)
 
 
-# one threshold is a predicate pair's own cosine, where the verdict turns on >=
+# one threshold is a predicate pair's own cosine, where the verdict turns on >=; above 1.0
+# no pair is near, not even two triples with the same predicate
 _THRESHOLDS = (
     0.0,
     0.5,
     EmbeddingVector(mock_embedding("ratifies")).cosine(EmbeddingVector(mock_embedding("ratified"))),
     0.85,
     1.0,
+    math.nextafter(1.0, 2.0),
+    1.5,
 )
 
 

@@ -21,11 +21,13 @@ from triplex.corpus import (
     load_corpus,
 )
 from triplex.errors import ConfigurationError, ExtractionError, TransportError
+from triplex.gold import GoldTriple
 from triplex.extraction import (
     DEFAULT_TRIPLE_CAP,
     REFINEMENT_PROMPT,
     ExtractionRun,
     Triple,
+    TripleCandidate,
     chunk_corpus,
     dedupe_and_cap,
     flag_generic,
@@ -706,6 +708,17 @@ def test_write_run_is_valid_jsonl(bank, mock_client, small_chunks_config, corpus
         }
 
 
+def test_every_triple_shape_starts_with_the_gold_fields_and_a_run_line_keeps_field_order(
+    tmp_path,
+):
+    assert Triple._fields[:3] == TripleCandidate._fields[:3] == GoldTriple._fields
+    triple = make_triple("japan", "exports", "cars", generic_subject=True)
+    path = tmp_path / "few-shot.jsonl"
+    write_run(_run_of([triple._replace(variant=PromptVariant.FEW_SHOT)]), path)
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    assert tuple(json.loads(line)) == Triple._fields
+
+
 # field text that JSON must escape or may leave as it is: quotes, backslashes, control
 # characters, the Unicode line and paragraph separators and characters beyond the BMP
 _awkward_text = st.one_of(
@@ -740,7 +753,7 @@ def test_write_run_lines_are_json_dumps_and_read_back_equal(tmp_path_factory, tr
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines.pop() == ""
     expected = [
-        {**{f: getattr(t, f) for f in Triple.__dataclass_fields__}, "variant": t.variant.value}
+        {**t._asdict(), "variant": t.variant.value}
         for t in triples
     ]
     assert lines == [json.dumps(record, ensure_ascii=False) for record in expected]
@@ -768,16 +781,10 @@ def test_read_run_loads_a_record_with_its_keys_reordered(tmp_path):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (
-            lambda record: {**record, "confidence": 0.9},
-            'TypeError("Triple.__init__() got an unexpected keyword argument \'confidence\'")',
-        ),
+        (lambda record: {**record, "confidence": 0.9}, "unknown key confidence"),
         (lambda record: {**record, "chunk_index": True}, "chunk_index must be an integer, got true"),
-        (
-            lambda record: {k: v for k, v in record.items() if k != "object"},
-            "TypeError(\"Triple.__init__() missing 1 required positional argument: 'object'\")",
-        ),
-        (lambda record: {k: v for k, v in record.items() if k != "variant"}, "KeyError('variant')"),
+        (lambda record: {k: v for k, v in record.items() if k != "object"}, "object is required"),
+        (lambda record: {k: v for k, v in record.items() if k != "variant"}, "variant is required"),
     ],
     ids=["extra key", "true chunk_index", "missing object", "missing variant"],
 )
@@ -798,7 +805,7 @@ def test_read_run_names_the_line_and_fault_of_a_record_write_run_would_not_write
 _JSON_VALUES = {
     "string": "x", "integer": 7, "true": True, "float": 1.5, "null": None, "list": [], "object": {},
 }
-_RECORD_KEYS = tuple(Triple.__dataclass_fields__)
+_RECORD_KEYS = Triple._fields
 
 
 def _set(**values):
@@ -903,50 +910,34 @@ _READ_OUTCOMES = {
     "generic_object null": "generic_object must be true or false, got null",
     "generic_object list": "generic_object must be true or false, got []",
     "generic_object object": "generic_object must be true or false, got {}",
-    "no subject": (
-        'TypeError("Triple.__init__() missing 1 required positional argument: \'subject\'")'
-    ),
-    "no predicate": (
-        'TypeError("Triple.__init__() missing 1 required positional argument: \'predicate\'")'
-    ),
-    "no object": (
-        'TypeError("Triple.__init__() missing 1 required positional argument: \'object\'")'
-    ),
-    "no doc_id": (
-        'TypeError("Triple.__init__() missing 1 required positional argument: \'doc_id\'")'
-    ),
-    "no article_id": (
-        'TypeError("Triple.__init__() missing 1 required positional argument: \'article_id\'")'
-    ),
-    "no chunk_index": (
-        'TypeError("Triple.__init__() missing 1 required positional argument: \'chunk_index\'")'
-    ),
-    "no variant": "KeyError('variant')",
+    "no subject": "subject is required",
+    "no predicate": "predicate is required",
+    "no object": "object is required",
+    "no doc_id": "doc_id is required",
+    "no article_id": "article_id is required",
+    "no chunk_index": "chunk_index is required",
+    "no variant": "variant is required",
     "no generic_subject": {"generic_subject": False},
     "no generic_object": {"generic_object": False},
     "no flags": {"generic_subject": False, "generic_object": False},
-    "extra key": 'TypeError("Triple.__init__() got an unexpected keyword argument \'note\'")',
-    "extra key for a flag": (
-        'TypeError("Triple.__init__() got an unexpected keyword argument \'note\'")'
-    ),
-    "extra key for both flags": (
-        'TypeError("Triple.__init__() got an unexpected keyword argument \'note\'")'
-    ),
+    "extra key": "unknown key note",
+    "extra key for a flag": "unknown key note",
+    "extra key for both flags": "unknown key note",
     "other variant": "record names zero-shot, the run negative-examples",
     "reordered, no generic_subject": {"generic_subject": False},
-    "record string": 'AttributeError("\'str\' object has no attribute \'pop\'")',
-    "record integer": 'AttributeError("\'int\' object has no attribute \'pop\'")',
-    "record true": 'AttributeError("\'bool\' object has no attribute \'pop\'")',
-    "record float": 'AttributeError("\'float\' object has no attribute \'pop\'")',
-    "record null": 'AttributeError("\'NoneType\' object has no attribute \'pop\'")',
-    "record list": 'TypeError("\'str\' object cannot be interpreted as an integer")',
-    "record object": "KeyError('variant')",
+    "record string": 'the record must be an object, got "x"',
+    "record integer": "the record must be an object, got 7",
+    "record true": "the record must be an object, got true",
+    "record float": "the record must be an object, got 1.5",
+    "record null": "the record must be an object, got null",
+    "record list": "the record must be an object, got []",
+    "record object": "variant is required",
     "subject and chunk_index wrong": "subject must be a string, got 7",
     "reversed, subject and chunk_index wrong": 'chunk_index must be an integer, got "x"',
     "extra key and subject wrong": "subject must be a string, got 7",
     "other variant and subject wrong": "record names zero-shot, the run negative-examples",
     "unknown variant and no subject": "unknown prompt variant 'x'" + _VALID_NAMES,
-    "no subject and no variant": "KeyError('variant')",
+    "no subject and no variant": "variant is required",
 }
 
 
@@ -972,7 +963,7 @@ def test_read_run_outcome_of_an_edited_record_is_pinned(tmp_path, case):
         path.write_text("\n".join(lines), encoding="utf-8")
         if isinstance(outcome, dict):
             expected = list(triples)
-            expected[line - 1] = replace(triples[line - 1], **outcome)
+            expected[line - 1] = triples[line - 1]._replace(**outcome)
             assert read_run(path).triples == expected
             continue
         with pytest.raises(ConfigurationError) as caught:
