@@ -80,12 +80,21 @@ def _reason(exc: Exception) -> str:
     return str(exc) if isinstance(exc, ConfigurationError) else repr(exc)
 
 
+def _decode(text: str) -> Any:
+    """The JSON value ``text`` holds; one it cannot decode is an error by its text."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer past Python's digit limit, or nesting past the recursion limit
+        raise ConfigurationError(str(exc)) from None
+
+
 def read_json(path: str | Path, kind: str, build: Callable[[Any], T]) -> T:
     """Parse one JSON document and return ``build`` of it."""
     source = Path(path)
     text = read_text(source, kind)
     try:
-        return build(json.loads(text))
+        return build(_decode(text))
     except _CORRUPT as exc:
         raise ConfigurationError(f"corrupt {kind} {source}: {_reason(exc)}") from None
 
@@ -102,7 +111,7 @@ def read_jsonl(path: str | Path, kind: str, build: Callable[[Any], T]) -> list[T
         if not line.strip():
             continue
         try:
-            out.append(build(json.loads(line)))
+            out.append(build(_decode(line)))
         except _CORRUPT as exc:
             raise ConfigurationError(
                 f"corrupt {kind} {source}, line {lineno}: {_reason(exc)}"

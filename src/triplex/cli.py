@@ -8,6 +8,7 @@ any package error escapes a command: bad configuration or input.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .artifacts import read_json, required, typed, write_json
@@ -184,6 +185,16 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
     return EXIT_OK
 
 
+def _score(scores: dict, prefix: str, key: str) -> float:
+    """The score at ``prefix + key``: a finite number in [0, 1]."""
+    value = required(scores, prefix, key, float)
+    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+        raise ConfigurationError(
+            f"{prefix}{key} must be a number in [0, 1], got {json.dumps(value)}"
+        )
+    return value
+
+
 def _table_results(eval_report: object) -> dict[str, dict[str, Metrics]]:
     """The exact and semantic P/R/F1 of each variant in an eval report."""
     variants = required(typed("the top level", eval_report, dict), "", "variants", dict)
@@ -195,8 +206,7 @@ def _table_results(eval_report: object) -> dict[str, dict[str, Metrics]]:
         for mode in ("exact", "semantic"):
             scores = required(entry, f"{where}.", mode, dict)
             table[variant][mode] = Metrics(**{
-                key: required(scores, f"{where}.{mode}.", key, float)
-                for key in ("precision", "recall", "f1")
+                key: _score(scores, f"{where}.{mode}.", key) for key in ("precision", "recall", "f1")
             })
     return table
 

@@ -113,7 +113,8 @@ def load_config(
     config_path = Path(path)
     try:
         raw = json.loads(read_text(config_path, "config file"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer past Python's digit limit, or nesting past the recursion limit
         raise ConfigurationError(f"config file {config_path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {config_path} must hold a JSON object")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -100,37 +100,42 @@ def _local_tag(tag: object) -> str:
     return tag.rsplit("}", 1)[-1].lower()
 
 
-def _collect_units(
-    elems: Iterable[ET.Element],
-    prefix: str,
-    out: list[tuple[str, str]],
-    counters: dict[str, int] | None = None,
-) -> bool:
-    """Walk ``elems`` and their descendants collecting leaf text units.
+def _collect_units(root: ET.Element) -> list[tuple[str, str]]:
+    """The ``(path, text)`` leaf text units of ``root`` and its descendants, in document order.
 
     A chapter that contains articles contributes a path component; only the
     innermost article/chapter elements yield text, so no passage is counted
     twice. Units are numbered per tag under their nearest enclosing unit: a
-    non-unit wrapper shares its parent's ``counters``, so no two units get
-    the same path. Returns whether the walk met a unit, blank ones included.
+    non-unit wrapper shares its parent's counters, so no two units get the
+    same path. The walk keeps its own stack, so nesting depth is not bounded
+    by Python's recursion limit.
     """
-    counters = {} if counters is None else counters
-    met = False
-    for elem in elems:
+    out: list[tuple[str, str]] = []
+    # each frame: the elements left to visit, the path and per-tag counters of
+    # the unit enclosing them, and that unit if these are its children
+    stack: list[tuple[Iterator[ET.Element], str, dict[str, int], ET.Element | None]] = [
+        (iter([root]), "", {}, None)  # the root is labelled like any other unit
+    ]
+    while stack:
+        elems, prefix, counters, unit = stack[-1]
+        elem = next(elems, None)
+        if elem is None:
+            stack.pop()
+            # a unit holding units yields theirs (it counted them, blank ones
+            # included); only a leaf unit yields its own text
+            if unit is not None and not counters:
+                text = "".join(unit.itertext())
+                if text.strip():
+                    out.append((prefix, text))
+            continue
         tag = _local_tag(elem.tag)
         if _UNIT_TAG_RE.search(tag):
-            met = True
             counters[tag] = counters.get(tag, 0) + 1
             label = f"{tag}:{counters[tag]:03d}"
-            path = f"{prefix}/{label}" if prefix else label
-            # a unit holding units yields theirs; only a leaf unit yields its own text
-            if not _collect_units(elem, path, out):
-                text = "".join(elem.itertext())
-                if text.strip():
-                    out.append((path, text))
-        elif _collect_units(elem, prefix, out, counters):
-            met = True
-    return met
+            stack.append((iter(elem), f"{prefix}/{label}" if prefix else label, {}, elem))
+        else:
+            stack.append((iter(elem), prefix, counters, None))
+    return out
 
 
 def _tag_texts(root: ET.Element, word: str) -> list[str]:
@@ -162,8 +167,7 @@ def _extract_sectors(root: ET.Element) -> tuple[str, ...]:
 
 def _parse_file(path: Path) -> AgreementDocument:
     root = ET.parse(path).getroot()
-    units: list[tuple[str, str]] = []
-    _collect_units([root], "", units)  # the root is labelled like any other unit
+    units = _collect_units(root)
     party_a, party_b = _extract_parties(root, path.name)
     return AgreementDocument(
         doc_id=path.stem,

@@ -21,7 +21,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -75,28 +75,27 @@ class _Wire(NamedTuple):
     """A wire profile: default paths, payload fields, and where each reply holds its result."""
 
     chat_path: str
-    chat_reply: tuple  # keys leading to the reply text
+    chat_reply: Callable[[object], object]  # the reply -> its text
     embeddings_path: str
-    embedding_reply: tuple  # keys leading to the vector
+    embeddings_reply: Callable[[object], list]  # the reply -> its vectors, in input order
     max_tokens_key: str
     chat_fields: Callable[[dict], dict]  # decoding options -> the chat payload's tail
-    embed_fields: Callable[[str], dict]  # text -> the embedding payload's tail
 
 
 _WIRES = {
     "ollama": _Wire(
-        chat_path="/api/chat", chat_reply=("message", "content"),
-        embeddings_path="/api/embeddings", embedding_reply=("embedding",),
+        chat_path="/api/chat", chat_reply=lambda reply: reply["message"]["content"],
+        embeddings_path="/api/embed", embeddings_reply=lambda reply: [*reply["embeddings"]],
         max_tokens_key="num_predict",
         chat_fields=lambda decoding: {"stream": False, "options": decoding},
-        embed_fields=lambda text: {"prompt": text},
     ),
     "openai": _Wire(
-        chat_path="/v1/chat/completions", chat_reply=("choices", 0, "message", "content"),
-        embeddings_path="/v1/embeddings", embedding_reply=("data", 0, "embedding"),
+        chat_path="/v1/chat/completions",
+        chat_reply=lambda reply: reply["choices"][0]["message"]["content"],
+        embeddings_path="/v1/embeddings",
+        embeddings_reply=lambda reply: [item["embedding"] for item in reply["data"]],
         max_tokens_key="max_tokens",
         chat_fields=lambda decoding: decoding,
-        embed_fields=lambda text: {"input": [text]},
     ),
 }
 
@@ -320,7 +319,9 @@ def _mock_chat_reply(prompt_text: str, seed: int) -> str:
 class Transport(Protocol):
     def chat(self, prompt_text: str) -> str: ...
 
-    def embed_one(self, text: str) -> Sequence[float]: ...
+    def embed(self, texts: Sequence[str]) -> Iterable[Sequence[float]]:
+        """One vector for each text, in order."""
+        ...
 
     def close(self) -> None: ...
 
@@ -333,6 +334,10 @@ class MockTransport:
 
     def chat(self, prompt_text: str) -> str:
         return _mock_chat_reply(prompt_text, self.seed)
+
+    def embed(self, texts: Sequence[str]) -> Iterator[Sequence[float]]:
+        # one at a time, as the client takes them: the batch is never in memory at once
+        return map(self.embed_one, texts)
 
     def embed_one(self, text: str) -> Sequence[float]:
         return mock_embedding(text)
@@ -442,14 +447,11 @@ class HttpTransport:
             f"{last_error}"
         )
 
-    def _reply(self, kind: str, target: str, payload: dict, location: tuple) -> object:
-        """POST ``payload`` and return the value at ``location`` in the JSON reply."""
+    def _reply(self, kind: str, target: str, payload: dict, read: Callable) -> object:
+        """POST ``payload`` and return ``read`` of the JSON reply."""
         data = self._request(target, payload)
         try:
-            value = data
-            for key in location:
-                value = value[key]
-            return value
+            return read(data)
         except (KeyError, IndexError, TypeError):
             raise TransportError(f"unexpected {kind} response shape: {str(data)[:200]}")
 
@@ -465,11 +467,21 @@ class HttpTransport:
         }
         return self._reply("chat", self._chat_target, payload, self._wire.chat_reply)
 
-    def embed_one(self, text: str) -> Sequence[float]:
-        payload = {"model": self.config.embedding_model, **self._wire.embed_fields(text)}
-        return self._reply(
-            "embedding", self._embeddings_target, payload, self._wire.embedding_reply
+    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
+        """The vectors of ``texts``, from one request with a list ``input``."""
+        payload = {"model": self.config.embedding_model, "input": [*texts]}
+        vectors = self._reply(
+            "embedding", self._embeddings_target, payload, self._wire.embeddings_reply
         )
+        if len(vectors) != len(texts):
+            raise TransportError(
+                f"unexpected embedding response shape: {len(vectors)} vectors "
+                f"for {len(texts)} texts"
+            )
+        return vectors
+
+    def embed_one(self, text: str) -> Sequence[float]:
+        return self.embed([text])[0]
 
 
 def _in_order(pool: ThreadPoolExecutor, workers: int, fn: Callable, items: Sequence) -> list:
@@ -534,10 +546,11 @@ class LlmClient:
         """Embed each text, returning unit-length vectors in input order.
 
         Vectors are kept for the life of the client, so the transport sees
-        each distinct text once. The texts not yet seen are fetched on up to
-        ``max_parallel_requests`` threads; with a bound of one (every mock
-        client) they are fetched in order on the calling thread. Once a
-        fetch fails no new one starts, and the first failing text's error
+        each distinct text once. The texts not yet seen are cut into up to
+        ``max_parallel_requests`` contiguous batches of near-equal size, one
+        request each, fetched on as many threads; with a bound of one (every
+        mock client) the one batch is fetched on the calling thread. Once a
+        batch fails no new one starts, and the first failing batch's error
         is raised.
         """
         if not texts:
@@ -548,22 +561,26 @@ class LlmClient:
         # unlocked: a text two threads embed at once is fetched twice, harmlessly
         unseen = [text for text in dict.fromkeys(texts) if text not in self._embeddings]
         workers = min(self.config.max_parallel_requests, len(unseen))
+        # contiguous slices, so the lowest failing batch holds the first failing text
+        ends = [len(unseen) * i // workers for i in range(1, workers + 1)]
+        batches = [unseen[start:end] for start, end in zip([0, *ends], ends)]
         if workers <= 1:
-            for text in unseen:
-                self._fetch(text)
+            for batch in batches:
+                self._fetch(batch)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                _in_order(pool, workers, self._fetch, unseen)
+                _in_order(pool, workers, self._fetch, batches)
         return [self._embeddings[text] for text in texts]
 
-    def _fetch(self, text: str) -> None:
-        """Fetch ``text``'s embedding through the gate and keep it, unit length."""
-        with self._gate:
-            raw = np.asarray(self.transport.embed_one(text), dtype=np.float64)
-        norm = float(np.linalg.norm(raw))
-        if not np.isfinite(norm) or norm <= 0.0:
-            raise TransportError(f"embedding for {text[:40]!r} has invalid norm {norm}")
-        self._embeddings[text] = EmbeddingVector(values=raw / norm)
+    def _fetch(self, texts: list[str]) -> None:
+        """Fetch the embeddings of ``texts`` through the gate and keep them, unit length."""
+        with self._gate:  # a transport may compute each vector as it is taken
+            for text, vector in zip(texts, self.transport.embed(texts), strict=True):
+                raw = np.asarray(vector, dtype=np.float64)
+                norm = float(np.linalg.norm(raw))
+                if not np.isfinite(norm) or norm <= 0.0:
+                    raise TransportError(f"embedding for {text[:40]!r} has invalid norm {norm}")
+                self._embeddings[text] = EmbeddingVector(values=raw / norm)
 
 
 def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:

@@ -113,6 +113,23 @@ def test_extract_of_every_variant_chunks_each_document_once(config_file, monkeyp
     assert len(list((out_dir_of(config) / "runs").glob("*.jsonl"))) == len(PromptVariant)
 
 
+def test_ingest_finds_the_one_article_of_an_agreement_nested_5000_deep(config_file, tmp_path):
+    source = tmp_path / "deep"
+    source.mkdir()
+    depth = 5000  # five times Python's default recursion limit
+    (source / "deep.xml").write_text(
+        "<agreement>" + "<div>" * depth + "<article>Japan eliminates customs duties.</article>"
+        + "</div>" * depth + "</agreement>",
+        encoding="utf-8",
+    )
+    config = config_file(corpus={"source_dir": str(source)})
+    assert main(["ingest", "--config", str(config)]) == 0
+    (document,) = read_corpus_jsonl(out_dir_of(config) / "corpus.jsonl").documents
+    (article,) = document.articles
+    assert article.article_id == "article:001"
+    assert "Japan eliminates customs duties" in article.clean_text
+
+
 def test_deficient_example_bank_is_fatal(config_file, tmp_path, capsys):
     bank = json.loads(
         (Path(triplex.__file__).parent / "data" / "examples.json").read_text(encoding="utf-8")
@@ -399,6 +416,47 @@ def test_run_record_value_of_the_wrong_type_is_fatal_and_names_the_key(
         assert f"corrupt run file {run}, line 2: {message}" in capsys.readouterr().err
 
 
+_UNDECODABLE = [
+    (
+        lambda line: re.sub(r'"chunk_index": \d+', '"chunk_index": ' + "1" * 5001, line),
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits;"
+        " use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    (
+        lambda line: "[" * 100_000,
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", _UNDECODABLE, ids=["long integer", "deep nesting"])
+def test_run_record_json_python_cannot_decode_is_fatal_and_named_by_the_errors_text(
+    config_file, capsys, edit, message
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines()
+    lines[0] = edit(lines[0])
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    line = fatal_error_line(capsys.readouterr().err)
+    assert line == f"error: corrupt run file {run}, line 1: {message}"
+
+
+@pytest.mark.parametrize("edit, message", _UNDECODABLE, ids=["long integer", "deep nesting"])
+def test_config_json_python_cannot_decode_is_fatal_and_named_by_the_errors_text(
+    config_file, capsys, edit, message
+):
+    config = config_file()
+    config.write_text(edit('{"chunk_index": 0}'), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 2
+    line = fatal_error_line(capsys.readouterr().err)
+    assert line == f"error: config file {config} is not valid JSON: {message}"
+
+
 def test_truncated_run_stats_file_is_fatal_and_names_file_and_line(config_file, capsys):
     config = config_file()
     assert main(["ingest", "--config", str(config)]) == 0
@@ -588,6 +646,30 @@ def test_eval_report_value_of_the_wrong_type_is_fatal_and_names_the_key(
     assert fatal_error_line(capsys.readouterr().err).endswith(
         f"corrupt eval report {report}: {message}"
     )
+
+
+@pytest.mark.parametrize("value", [float("nan"), 7.5, -3.0], ids=["nan", "above-one", "negative"])
+def test_eval_report_score_outside_zero_to_one_is_fatal_and_names_the_key(
+    config_file, capsys, value
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
+    report = out_dir_of(config) / "eval_report.json"
+    content = json.loads(report.read_text(encoding="utf-8"))
+    content["variants"]["zero-shot"]["exact"]["precision"] = value
+    report.write_text(json.dumps(content), encoding="utf-8")  # nan is written as NaN
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    message = (
+        "variants.zero-shot.exact.precision must be a number in [0, 1], "
+        f"got {json.dumps(value)}"
+    )
+    assert fatal_error_line(capsys.readouterr().err).endswith(
+        f"corrupt eval report {report}: {message}"
+    )
+    assert not (out_dir_of(config) / "report" / "metrics.csv").exists()
 
 
 _DELETE = object()

@@ -69,8 +69,8 @@ class ScriptedTransport:
             return self.reply(prompt_text)
         return self.reply
 
-    def embed_one(self, text: str):
-        return mock_embedding(text)
+    def embed(self, texts):
+        return [mock_embedding(text) for text in texts]
 
 
 def scripted_client(reply, max_parallel=4) -> LlmClient:
@@ -274,8 +274,8 @@ def test_refine_generic_counts_transport_failures():
         def chat(self, prompt_text: str) -> str:
             raise TransportError("down")
 
-        def embed_one(self, text: str):
-            return mock_embedding(text)
+        def embed(self, texts):
+            return [mock_embedding(text) for text in texts]
 
     client = LlmClient(EndpointConfig(), DownTransport())
     triples = [make_triple("the parties", "signed", "contract", generic_subject=True)]
@@ -440,8 +440,8 @@ def test_all_chunks_failing_raises_extraction_error(bank, small_chunks_config, c
         def chat(self, prompt_text: str) -> str:
             raise TransportError("down")
 
-        def embed_one(self, text: str):
-            return mock_embedding(text)
+        def embed(self, texts):
+            return [mock_embedding(text) for text in texts]
 
     client = LlmClient(EndpointConfig(), DownTransport())
     corpus = load_corpus(corpus_dir)
@@ -521,8 +521,8 @@ def test_fatal_error_stops_extraction_promptly(rejected, bank, small_chunks_conf
             time.sleep(0.005)
             return "(Japan | exports | cars)"
 
-        def embed_one(self, text: str):
-            return mock_embedding(text)
+        def embed(self, texts):
+            return [mock_embedding(text) for text in texts]
 
     transport = RejectingTransport()
     client = LlmClient(EndpointConfig(max_parallel_requests=2), transport)

@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 import numpy as np
 import pytest
 
-from triplex import cli
+from triplex import cli, llmclient
 from triplex.corpus import load_corpus
 from triplex.errors import ConfigurationError, TransportError
 from triplex.extraction import chunk_corpus, parse_triples, run_extraction
@@ -145,9 +145,9 @@ class EmbedCountingTransport:
     def chat(self, prompt_text: str) -> str:
         raise AssertionError("chat not expected")
 
-    def embed_one(self, text: str):
-        self.embedded.append(text)
-        return mock_embedding(text)
+    def embed(self, texts):
+        self.embedded.extend(texts)
+        return [mock_embedding(text) for text in texts]
 
 
 def test_client_embed_rejects_empty_inputs():
@@ -182,7 +182,6 @@ def test_client_embed_fetches_each_text_once(workers):
 # ---------------------------------------------------------------------------
 
 DROP = object()  # outcome: close the connection without replying
-ECHO = object()  # outcome: reply to a chat request with its own prompt
 
 
 @dataclass
@@ -194,6 +193,16 @@ class Reply:
     delay_s: float = 0.0
     headers: dict = field(default_factory=dict)
     close_after: bool = False  # close the connection afterwards without saying so
+
+
+def ECHO(payload: dict) -> Reply:
+    """Outcome: reply to a chat request with its own prompt."""
+    return Reply(200, {"message": {"content": payload["messages"][0]["content"]}})
+
+
+def EMBED(payload: dict) -> Reply:
+    """Outcome: reply to an ollama embedding request with each input's mock vector."""
+    return Reply(200, {"embeddings": [mock_embedding(text).tolist() for text in payload["input"]]})
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -211,9 +220,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                 {"url": f"http://{self.headers['Host']}{self.path}", "body": body}
             )
             outcome = self.server.outcomes.pop(0)
-        if outcome is ECHO:
-            prompt = json.loads(body)["messages"][0]["content"]
-            outcome = Reply(200, {"message": {"content": prompt}})
+        if callable(outcome):  # an outcome that reads the request
+            outcome = outcome(json.loads(body))
         if outcome is DROP:
             self.close_connection = True
             return
@@ -234,7 +242,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
 
 class ScriptedEndpoint(ThreadingHTTPServer):
-    """Answers each POST with the next scripted outcome; records requests and connections."""
+    """Answers each POST with the next scripted outcome; records requests and connections.
+
+    An outcome is a ``Reply``, ``DROP``, or a function of the request's JSON
+    payload that returns a ``Reply``.
+    """
 
     daemon_threads = True
     # socketserver listens with a backlog of 5; when more clients connect at once than the
@@ -449,28 +461,37 @@ def test_http_ollama_request_shape(serve):
 
 
 def test_http_ollama_embeddings_shape(serve):
-    server = serve(Reply(200, {"embedding": [0.0, 3.0, 4.0]}))
+    server = serve(
+        Reply(200, {"embeddings": [[0.0, 3.0, 4.0]]}),
+        Reply(200, {"embeddings": [[1.0, 0.0], [0.0, 1.0]]}),
+    )
     transport, _ = _transport(server)
     raw = transport.embed_one("import tariffs")
     assert raw == [0.0, 3.0, 4.0]
-    (request,) = server.requests
-    assert request["url"].endswith("/api/embeddings")
-    assert _payload(request) == {"model": "nomic-embed-text", "prompt": "import tariffs"}
+    assert transport.embed(["a", "b"]) == [[1.0, 0.0], [0.0, 1.0]]
+    single, batch = server.requests
+    assert single["url"].endswith("/api/embed") and batch["url"].endswith("/api/embed")
+    assert _payload(single) == {"model": "nomic-embed-text", "input": ["import tariffs"]}
+    assert _payload(batch) == {"model": "nomic-embed-text", "input": ["a", "b"]}
 
 
 def test_http_openai_profile_paths_and_shapes(serve):
     server = serve(
         Reply(200, {"choices": [{"message": {"content": "ok"}}]}),
         Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}),
+        Reply(200, {"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}]}),
     )
     transport, _ = _transport(server, profile="openai")
     assert transport.chat("p") == "ok"
     assert transport.embed_one("t") == [1.0, 0.0]
-    chat_request, embed_request = server.requests
+    assert transport.embed(["t", "u"]) == [[1.0], [2.0]]
+    chat_request, embed_request, batch_request = server.requests
     assert chat_request["url"].endswith("/v1/chat/completions")
     assert _payload(chat_request)["max_tokens"] == 2048
     assert embed_request["url"].endswith("/v1/embeddings")
     assert _payload(embed_request) == {"model": "nomic-embed-text", "input": ["t"]}
+    assert batch_request["url"].endswith("/v1/embeddings")
+    assert _payload(batch_request) == {"model": "nomic-embed-text", "input": ["t", "u"]}
 
 
 _PINNED_REQUESTS = [
@@ -479,8 +500,8 @@ _PINNED_REQUESTS = [
         "http://localhost:11434/api/chat",
         '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
         '"stream": false, "options": {"temperature": 0.0, "num_predict": 2048, "seed": 42}}',
-        "http://localhost:11434/api/embeddings",
-        '{"model": "nomic-embed-text", "prompt": "t"}',
+        "http://localhost:11434/api/embed",
+        '{"model": "nomic-embed-text", "input": ["t", "u"]}',
     ),
     (
         {"seed": None, "base_url": "http://h:1/", "chat_path": "/c", "embeddings_path": "/e"},
@@ -488,7 +509,7 @@ _PINNED_REQUESTS = [
         '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
         '"stream": false, "options": {"temperature": 0.0, "num_predict": 2048}}',
         "http://h:1/e",
-        '{"model": "nomic-embed-text", "prompt": "t"}',
+        '{"model": "nomic-embed-text", "input": ["t", "u"]}',
     ),
     (
         {"profile": "openai", "temperature": 0.5, "max_tokens": 64},
@@ -496,7 +517,7 @@ _PINNED_REQUESTS = [
         '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
         '"temperature": 0.5, "max_tokens": 64, "seed": 42}',
         "http://localhost:11434/v1/embeddings",
-        '{"model": "nomic-embed-text", "input": ["t"]}',
+        '{"model": "nomic-embed-text", "input": ["t", "u"]}',
     ),
     (
         {"profile": "openai", "seed": None, "chat_path": "/c"},
@@ -504,15 +525,15 @@ _PINNED_REQUESTS = [
         '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
         '"temperature": 0.0, "max_tokens": 2048}',
         "http://localhost:11434/v1/embeddings",
-        '{"model": "nomic-embed-text", "input": ["t"]}',
+        '{"model": "nomic-embed-text", "input": ["t", "u"]}',
     ),
     (
         {"base_url": "http://localhost:11434/proxy/"},
         "http://localhost:11434/proxy/api/chat",
         '{"model": "llama3.1:70b", "messages": [{"role": "user", "content": "p"}], '
         '"stream": false, "options": {"temperature": 0.0, "num_predict": 2048, "seed": 42}}',
-        "http://localhost:11434/proxy/api/embeddings",
-        '{"model": "nomic-embed-text", "prompt": "t"}',
+        "http://localhost:11434/proxy/api/embed",
+        '{"model": "nomic-embed-text", "input": ["t", "u"]}',
     ),
 ]
 
@@ -529,14 +550,15 @@ def test_http_request_urls_and_payloads_are_pinned(
 ):
     # the body bytes as sent, key order included; the pinned hosts stand for the server
     if overrides.get("profile") == "openai":
-        replies = [{"choices": [{"message": {"content": "ok"}}]}, {"data": [{"embedding": [1.0]}]}]
+        vectors = {"data": [{"embedding": [1.0]}, {"embedding": [2.0]}]}
+        replies = [{"choices": [{"message": {"content": "ok"}}]}, vectors]
     else:
-        replies = [{"message": {"content": "ok"}}, {"embedding": [1.0]}]
+        replies = [{"message": {"content": "ok"}}, {"embeddings": [[1.0], [2.0]]}]
     server = serve(*(Reply(200, reply) for reply in replies))
     base_url = _on(server, overrides.get("base_url", EndpointConfig().base_url))
     transport, _ = _transport(server, **{**overrides, "base_url": base_url})
     assert transport.chat("p") == "ok"
-    assert transport.embed_one("t") == [1.0]
+    assert transport.embed(["t", "u"]) == [[1.0], [2.0]]
     chat_request, embed_request = server.requests
     assert (chat_request["url"], chat_request["body"].decode()) == (
         _on(server, chat_url),
@@ -692,7 +714,7 @@ def test_live_extract_of_every_variant_shares_max_parallel_connections(serve, co
 
 def test_live_extract_and_eval_close_their_connections(serve, config_file, monkeypatch):
     chat = serve(*[ECHO] * 2000)
-    embed = serve(*[Reply(200, {"embedding": [1.0, 0.0]})] * 5000)
+    embed = serve(*[EMBED] * 5000)
     clients: list[LlmClient] = []
 
     def capture(config, backend):
@@ -755,7 +777,7 @@ def test_http_resend_after_an_idle_close_gives_the_pool_one_object_per_server_co
 
 
 def test_client_normalizes_transport_embeddings(serve):
-    server = serve(Reply(200, {"embedding": [0.0, 3.0, 4.0]}))
+    server = serve(Reply(200, {"embeddings": [[0.0, 3.0, 4.0]]}))
     transport, _ = _transport(server)
     client = LlmClient(transport.config, transport)
     (vector,) = client.embed(["anything"])
@@ -763,11 +785,12 @@ def test_client_normalizes_transport_embeddings(serve):
 
 
 def test_client_rejects_zero_norm_embedding(serve):
-    server = serve(Reply(200, {"embedding": [0.0, 0.0]}))
-    transport, _ = _transport(server)
+    server = serve(Reply(200, {"embeddings": [[1.0, 0.0], [0.0, 0.0]]}))
+    transport, _ = _transport(server, max_parallel_requests=1)
     client = LlmClient(transport.config, transport)
-    with pytest.raises(TransportError):
-        client.embed(["anything"])
+    with pytest.raises(TransportError, match="^embedding for 'anything' has invalid norm 0.0$"):
+        client.embed(["fine", "anything"])
+    assert len(server.requests) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +836,7 @@ class CountingTransport:
         self.active = 0
         self.peak = 0
         self.embedded: list[str] = []
+        self.batches: list[list[str]] = []
 
     def _call(self, delay_s: float = 0.01) -> None:
         with self._lock:
@@ -827,21 +851,23 @@ class CountingTransport:
         self._call()
         return "(A | signed | B)"
 
-    def embed_one(self, text: str):
-        self._call()
-        self.embedded.append(text)
-        return mock_embedding(text)
+    def embed(self, texts):
+        self._call(0.05)  # long enough that every batch of a call is in flight at once
+        with self._lock:
+            self.embedded.extend(texts)
+            self.batches.append(list(texts))
+        return [mock_embedding(text) for text in texts]
 
     def close(self) -> None:
         pass
 
 
 class FailingEmbedTransport(CountingTransport):
-    """Every embedding fails; the first text's takes longest to fail."""
+    """Every batch fails, naming its first text; the batch holding ``text 0`` takes longest."""
 
-    def embed_one(self, text: str):
-        self._call(0.05 if text == "text 0" else 0.01)
-        raise TransportError(f"no embedding for {text}")
+    def embed(self, texts):
+        self._call(0.05 if "text 0" in texts else 0.01)
+        raise TransportError(f"no embedding for {texts[0]}")
 
 
 def test_client_bounds_concurrent_requests():
@@ -875,6 +901,10 @@ def test_client_embeds_on_max_parallel_requests_threads(workers):
     client.embed(TEXTS)
     assert transport.peak == workers
     assert sorted(transport.embedded) == sorted(TEXTS)
+    # one contiguous batch per thread, of near-equal sizes
+    batches = sorted(transport.batches, key=lambda batch: TEXTS.index(batch[0]))
+    assert [text for batch in batches for text in batch] == TEXTS
+    assert {len(batch) for batch in batches} == {len(TEXTS) // workers}
 
 
 def test_parallel_embed_matches_a_serial_client_and_fetches_each_text_once():
@@ -969,6 +999,91 @@ def test_live_eval_stops_embedding_once_a_text_fails(serve, config_file, capsys)
     assert cli.main(["eval", "--config", str(config), "--backend", "live"]) == 2
     assert "status 500" in capsys.readouterr().err
     assert 2 <= len(embed.requests) <= 4 * (1 + 1)
+
+
+# ---------------------------------------------------------------------------
+# batched embeddings on the wire
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_embed_sends_one_request_per_worker_whose_inputs_join_in_order(serve, workers):
+    server = serve(*[EMBED] * 20)
+    transport, _ = _transport(server, max_parallel_requests=workers)
+    client = LlmClient(transport.config, transport)
+    client.embed(["text 3"])
+    texts = TEXTS[:10] * 2  # a text repeated within the call is sent once
+    vectors = client.embed(texts)
+    unseen = [text for text in TEXTS[:10] if text != "text 3"]
+    assert len(server.requests) == 1 + workers
+    inputs = [_payload(request)["input"] for request in server.requests[1:]]
+    inputs.sort(key=lambda batch: unseen.index(batch[0]))
+    assert [text for batch in inputs for text in batch] == unseen
+    expected = make_client(EndpointConfig(), "mock").embed(texts)
+    for want, vector in zip(expected, vectors, strict=True):
+        assert np.array_equal(want.values, vector.values)
+    client.embed(texts[::-1])
+    assert len(server.requests) == 1 + workers
+
+
+@pytest.mark.parametrize("returned", [1, 3], ids=["too-few", "too-many"])
+@pytest.mark.parametrize("profile", ["ollama", "openai"])
+def test_embed_reply_with_a_vector_too_few_or_too_many_is_a_transport_error(
+    serve, profile, returned
+):
+    vectors = [[1.0, 0.0]] * returned
+    if profile == "ollama":
+        reply = {"embeddings": vectors}
+    else:
+        reply = {"data": [{"embedding": vector} for vector in vectors]}
+    server = serve(Reply(200, reply))
+    transport, _ = _transport(server, profile=profile)
+    message = f"^unexpected embedding response shape: {returned} vectors for 2 texts$"
+    with pytest.raises(TransportError, match=message):
+        transport.embed(["a", "b"])
+    assert len(server.requests) == 1  # not retried
+
+
+def test_live_eval_exits_2_on_an_embed_reply_one_vector_short(serve, config_file, capsys):
+    def one_short(payload: dict) -> Reply:
+        return Reply(200, {"embeddings": [[1.0, 0.0]] * (len(payload["input"]) - 1)})
+
+    server = serve(*[one_short] * 10)
+    config = config_file(endpoint={"base_url": server.url, "max_parallel_requests": 2})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    assert cli.main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config), "--backend", "live"]) == 2
+    assert capsys.readouterr().err.startswith("error: unexpected embedding response shape: ")
+    assert 1 <= len(server.requests) <= 2
+
+
+def test_failed_embed_batch_starts_no_new_batch(serve, monkeypatch):
+    # one pool thread runs the four batch tasks in turn, so a batch taken after the failure shows
+    monkeypatch.setattr(
+        llmclient, "ThreadPoolExecutor", lambda max_workers: ThreadPoolExecutor(max_workers=1)
+    )
+    server = serve(EMBED, *[Reply(400, b"no such model")] * 3)
+    transport, _ = _transport(server, max_parallel_requests=4)
+    client = LlmClient(transport.config, transport)
+    with pytest.raises(ConfigurationError, match=r"rejected request \(400\): no such model$"):
+        client.embed(TEXTS)
+    assert [_payload(request)["input"] for request in server.requests] == [TEXTS[:10], TEXTS[10:20]]
+
+
+def test_embed_raises_the_lowest_failing_batchs_error(serve):
+    def reject(payload: dict) -> Reply:
+        first = payload["input"][0]
+        # the first batch fails after every other
+        delay_s = 0.2 if first == "text 0" else 0.0
+        return Reply(400, f"no embedding for {first}".encode(), delay_s=delay_s)
+
+    server = serve(*[reject] * 4)
+    transport, _ = _transport(server, max_parallel_requests=4)
+    client = LlmClient(transport.config, transport)
+    with pytest.raises(ConfigurationError, match=r"\(400\): no embedding for text 0$"):
+        client.embed(TEXTS)
+    assert 1 <= len(server.requests) <= 4
 
 
 # ---------------------------------------------------------------------------
