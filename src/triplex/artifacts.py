@@ -5,13 +5,14 @@ replaces its target atomically: the text goes to ``<name>.tmp`` beside the
 target, which ``os.replace`` then moves over it, so a reader sees the old file
 or the new one, never a partial write. A file that cannot be written, read,
 decoded or built is a ``ConfigurationError`` that names the file and, for
-JSONL, the line. :func:`from_json` builds the dataclass a JSON object declares.
+JSONL, the line. :func:`from_json` builds the declared type a JSON object holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import inspect
 import json
 import os
 import re
@@ -123,7 +124,7 @@ def _expected(kind: object) -> str:
     """What a JSON value must be to fit field type ``kind``, e.g. ``a list of strings``."""
     if isinstance(kind, enum.EnumMeta):
         return "one of " + ", ".join(member.value for member in kind)
-    if dataclasses.is_dataclass(kind):
+    if dataclasses.is_dataclass(kind) or typing.get_origin(kind) is dict:
         return "an object"
     if typing.get_origin(kind) is tuple:
         item, *rest = typing.get_args(kind)
@@ -138,7 +139,7 @@ def typed(key: str, value: object, hint: object) -> object:
 
     An int field takes no bool; a float field also takes an int, as a float;
     ``null`` fits only an optional field; an enum field takes a member's
-    value; a ``tuple[...]`` field takes a list of its item types, and a
+    value; a ``tuple[...]`` field takes a list, and a ``dict[str, T]`` or
     dataclass field an object, each checked item by item.
     """
     kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
@@ -151,6 +152,9 @@ def typed(key: str, value: object, hint: object) -> object:
         return kind(value)
     if dataclasses.is_dataclass(kind):
         return from_json(kind, value, key)
+    if typing.get_origin(kind) is dict and type(value) is dict:
+        item = typing.get_args(kind)[1]
+        return {name: typed(f"{key}.{name}", v, item) for name, v in value.items()}
     if typing.get_origin(kind) is tuple and type(value) is list:
         items = typing.get_args(kind)
         if items[1:] == (...,):
@@ -173,34 +177,31 @@ def reject_unknown(prefix: str, obj: dict, valid: Iterable[str]) -> None:
     unknown = sorted(obj.keys() - set(valid))
     if unknown:
         raise ConfigurationError(
-            f"unknown config key {prefix}{unknown[0]}; valid keys: {', '.join(sorted(valid))}"
+            f"unknown key {prefix}{unknown[0]}; valid keys: {', '.join(sorted(valid))}"
         )
 
 
 def from_json(cls: type[T], obj: object, key: str = "", paths: tuple[str, ...] = (), **fixed) -> T:
-    """Build the dataclass ``cls`` from the JSON object ``obj`` found at ``key``.
+    """Build the dataclass or NamedTuple ``cls`` from the JSON object ``obj`` found at ``key``.
 
     ``paths`` are keys of ``obj`` that the caller reads itself, and ``fixed``
     the fields it built from them. Every other key must name a field of
     ``cls`` and hold a value of its type; an absent key takes the field's
     default, or is an error if the field has none, and ``cls.__post_init__``
-    checks the ranges.
+    checks the ranges. The first fault is raised: a wrong type in the
+    object's own key order, an undeclared key, a missing field in field order.
     """
     if type(obj) is not dict:
         where = key or "the top level"
         raise ConfigurationError(f"{where} must be an object, got {json.dumps(obj)[:200]}")
     prefix = f"{key}." if key else ""
     hints = typing.get_type_hints(cls)
-    reject_unknown(prefix, obj, (hints.keys() - fixed.keys()) | set(paths))
-    values = {
-        name: typed(prefix + name, value, hints[name])
-        for name, value in obj.items()
-        if name not in paths
-    }
-    for f in dataclasses.fields(cls):
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if required and f.init and f.name not in values and f.name not in fixed:
-            raise ConfigurationError(f"{prefix}{f.name} is required")
+    declared = hints.keys() - fixed.keys() - set(paths)
+    values = {k: typed(prefix + k, v, hints[k]) for k, v in obj.items() if k in declared}
+    reject_unknown(prefix, obj, declared | set(paths))
+    for name, parameter in inspect.signature(cls).parameters.items():
+        if parameter.default is parameter.empty and name not in values and name not in fixed:
+            raise ConfigurationError(f"{prefix}{name} is required")
     try:
         return cls(**fixed, **values)
     except ConfigurationError as exc:

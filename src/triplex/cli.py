@@ -8,17 +8,20 @@ any package error escapes a command: bad configuration or input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict, astuple
+from functools import partial
 
-from .artifacts import read_json, required, typed, write_json
+from .artifacts import from_json, read_json, write_json
 from .config import PipelineConfig, load_config
 from .corpus import load_corpus, preprocess_index, read_corpus_jsonl, write_corpus_jsonl
 from .errors import ConfigurationError, ExtractionError, TriplexError
 from .evaluation import (
+    EvalReport,
     MatchConfig,
     MatchMode,
-    Metrics,
+    ModeScores,
+    VariantScores,
     coverage_score,
     distribution_divergence,
     match,
@@ -122,27 +125,23 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
     runs = _load_runs(config)
     gold = load_gold(config.eval.gold_path)
     gold_dist = predicate_distribution(gold.triples)
-    embedding_model = (
-        "mock (hashed character trigrams)"
-        if backend == "mock"
-        else config.endpoint.embedding_model
-    )
-    report: dict = {
-        "header": {
-            "gold_size": len(gold),
-            "gold_annotator": gold.annotator,
-            "recall_denominator": "full gold set size",
-            "embedding_model": embedding_model,
-            "semantic_threshold": config.eval.semantic_threshold,
-            "assignment": config.eval.assignment.value,
-            "seed": config.eval.seed,
-        },
-        "variants": {},
+    header = {
+        "gold_size": len(gold),
+        "gold_annotator": gold.annotator,
+        "recall_denominator": "full gold set size",
+        "embedding_model": (
+            "mock (hashed character trigrams)" if backend == "mock"
+            else config.endpoint.embedding_model
+        ),
+        "semantic_threshold": config.eval.semantic_threshold,
+        "assignment": config.eval.assignment.value,
+        "seed": config.eval.seed,
     }
+    variants = {}
     with make_client(config.endpoint, backend) as client:
         for name in sorted(runs):
             run = runs[name]
-            entry: dict = {}
+            modes = {}
             for mode in MatchMode:
                 match_config = MatchConfig(
                     mode=mode,
@@ -156,64 +155,42 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
                     embedder=client if mode is MatchMode.SEMANTIC else None,
                 )
                 metrics = metrics_from(result, len(run.triples), len(gold))
-                entry[mode.value] = {
-                    "precision": round(metrics.precision, 6),
-                    "recall": round(metrics.recall, 6),
-                    "f1": round(metrics.f1, 6),
-                    "pairs": len(result.pairs),
-                    "unmatched_predicted": len(result.unmatched_predicted),
-                    "unmatched_gold": len(result.unmatched_gold),
-                    "semantic_threshold": config.eval.semantic_threshold,
-                    "assignment": config.eval.assignment.value,
-                }
-            dist = predicate_distribution(run.triples)
-            entry["redundancy"] = (
-                round(
-                    redundancy_score(run.triples, client, config.eval.redundancy_threshold), 6
+                modes[mode.value] = ModeScores(
+                    *(round(score, 6) for score in astuple(metrics)),
+                    pairs=len(result.pairs),
+                    unmatched_predicted=len(result.unmatched_predicted),
+                    unmatched_gold=len(result.unmatched_gold),
+                    semantic_threshold=config.eval.semantic_threshold,
+                    assignment=config.eval.assignment.value,
                 )
-                if run.triples
-                else 0.0
+            dist = predicate_distribution(run.triples)
+            variants[name] = VariantScores(
+                **modes,
+                redundancy=(
+                    round(
+                        redundancy_score(run.triples, client, config.eval.redundancy_threshold), 6
+                    )
+                    if run.triples
+                    else 0.0
+                ),
+                jsd_to_gold=(
+                    round(distribution_divergence(dist, gold_dist), 6) if dist.total else 1.0
+                ),
+                coverage=round(coverage_score(run.triples, gold.triples), 6),
+                n_predicted=len(run.triples),
             )
-            entry["jsd_to_gold"] = (
-                round(distribution_divergence(dist, gold_dist), 6) if dist.total else 1.0
-            )
-            entry["coverage"] = round(coverage_score(run.triples, gold.triples), 6)
-            entry["n_predicted"] = len(run.triples)
-            report["variants"][name] = entry
-    write_json(config.eval_report_path, report)
+    write_json(config.eval_report_path, asdict(EvalReport(header, variants)))
     print(f"wrote {config.eval_report_path} ({len(runs)} variants, 3 match modes)")
     return EXIT_OK
 
 
-def _score(scores: dict, prefix: str, key: str) -> float:
-    """The score at ``prefix + key``: a finite number in [0, 1]."""
-    value = required(scores, prefix, key, float)
-    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
-        raise ConfigurationError(
-            f"{prefix}{key} must be a number in [0, 1], got {json.dumps(value)}"
-        )
-    return value
-
-
-def _table_results(eval_report: object) -> dict[str, dict[str, Metrics]]:
-    """The exact and semantic P/R/F1 of each variant in an eval report."""
-    variants = required(typed("the top level", eval_report, dict), "", "variants", dict)
-    table: dict[str, dict[str, Metrics]] = {}
-    for variant, entry in variants.items():
-        where = f"variants.{variant}"
-        typed(where, entry, dict)
-        table[variant] = {}
-        for mode in ("exact", "semantic"):
-            scores = required(entry, f"{where}.", mode, dict)
-            table[variant][mode] = Metrics(**{
-                key: _score(scores, f"{where}.{mode}.", key) for key in ("precision", "recall", "f1")
-            })
-    return table
-
-
 def cmd_report(config: PipelineConfig) -> int:
     runs = _load_runs(config)
-    table_results = read_json(config.eval_report_path, "eval report", _table_results)
+    scores = read_json(config.eval_report_path, "eval report", partial(from_json, EvalReport))
+    table_results = {
+        name: {"exact": entry.exact, "semantic": entry.semantic}
+        for name, entry in scores.variants.items()
+    }
     if set(table_results) != set(runs):
         raise ConfigurationError(
             f"eval report {config.eval_report_path} scores {', '.join(sorted(table_results))}"

@@ -8,11 +8,11 @@ dataclass, the one declaration of its keys' defaults, types and ranges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from .artifacts import from_json, read_text, reject_unknown, typed
+from .artifacts import from_json, read_json, reject_unknown, typed
 from .corpus import PreprocessConfig
 from .defaults import (
     default_examples_path,
@@ -29,7 +29,8 @@ from .llmclient import EndpointConfig
 
 __all__ = ["EvalSettings", "PipelineConfig", "load_config"]
 
-_TOP_KEYS = ("corpus", "output_dir", "endpoint", "prompts", "eval", "generic_terms_file")
+_SECTIONS = ("corpus", "endpoint", "prompts", "eval")
+_TOP_KEYS = (*_SECTIONS, "output_dir", "generic_terms_file")
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,6 @@ class PipelineConfig:
         return self.output_dir / "eval_report.json"
 
 
-def _section(raw: dict, name: str) -> dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigurationError(
-            f"config section {name} must be a JSON object, got {json.dumps(section)}"
-        )
-    return section
-
-
 def load_config(
     path: str | Path,
     seed: int | None = None,
@@ -111,15 +103,9 @@ def load_config(
     checked here, before any command does work.
     """
     config_path = Path(path)
-    try:
-        raw = json.loads(read_text(config_path, "config file"))
-    except (ValueError, RecursionError) as exc:
-        # bad JSON, an integer past Python's digit limit, or nesting past the recursion limit
-        raise ConfigurationError(f"config file {config_path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config file {config_path} must hold a JSON object")
+    raw = read_json(config_path, "config file", partial(typed, "the top level", hint=dict))
     reject_unknown("", raw, _TOP_KEYS)
-    sections = {name: _section(raw, name) for name in ("corpus", "endpoint", "prompts", "eval")}
+    sections = {name: typed(name, raw.get(name, {}), dict) for name in _SECTIONS}
 
     def find(key: str, default: Path | None = None, exists=Path.is_file) -> Path | None:
         # an absent, null or empty path key selects the default

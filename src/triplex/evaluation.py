@@ -21,6 +21,7 @@ import csv
 import enum
 import io
 import itertools
+import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -146,6 +147,44 @@ def metrics_from(result: MatchResult, n_predicted: int, n_gold: int) -> Metrics:
     precision = pairs / n_predicted if n_predicted else 0.0
     recall = pairs / n_gold if n_gold else 0.0
     return Metrics(precision=precision, recall=recall, f1=f1_score(precision, recall))
+
+
+@dataclass(frozen=True)
+class ModeScores(Metrics):
+    """One match mode's entry in ``eval_report.json``: P/R/F1, pair counts and settings."""
+
+    pairs: int
+    unmatched_predicted: int
+    unmatched_gold: int
+    semantic_threshold: float
+    assignment: str
+
+    def __post_init__(self) -> None:
+        for name in ("precision", "recall", "f1"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails the comparison too
+                got = json.dumps(getattr(self, name))
+                raise ConfigurationError(f"{name} must be a number in [0, 1], got {got}")
+
+
+@dataclass(frozen=True)
+class VariantScores:
+    """One run's entry in ``eval_report.json``."""
+
+    exact: ModeScores
+    partial: ModeScores
+    semantic: ModeScores
+    redundancy: float
+    jsd_to_gold: float
+    coverage: float
+    n_predicted: int
+
+
+@dataclass(frozen=True)
+class EvalReport:
+    """``eval_report.json``: ``eval`` writes it and ``report`` reads it back."""
+
+    header: dict
+    variants: dict[str, VariantScores]
 
 
 def _eligible_edges(

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import read_json, read_jsonl, required, typed, write_json, write_text
+from .artifacts import from_json, read_json, read_jsonl, required, typed, write_json, write_text
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
 from .errors import ConfigurationError, ExtractionError, TransportError
@@ -387,17 +387,13 @@ _RUN_LINE = "{%s}\n" % ", ".join(
 )
 
 
-def _run_meta(meta: object) -> dict:
-    meta = typed("the top level", meta, dict)
-    counts = typed("stats", meta.get("stats", {}), dict)
-    stats = {**_empty_stats(), **{k: typed(f"stats.{k}", v, int) for k, v in counts.items()}}
-    return {
-        "stats": stats,
-        **{k: typed(k, meta.get(k, ""), str) for k in ("endpoint_fingerprint", "prompt_fingerprint")},
-        "variant": typed("variant", meta["variant"], PromptVariant) if "variant" in meta else None,
-        # the triples written: every parsed line less those dedupe_and_cap dropped
-        "kept": stats["lines_parsed"] - stats["duplicates_removed"] - stats["capped_count"],
-    }
+class _RunMeta(NamedTuple):
+    """A run's ``.stats.json`` sidecar, as write_run writes it; a run without one reads as this."""
+
+    variant: PromptVariant = None  # None only when absent: a sidecar's variant is never null
+    stats: dict[str, int] = {}  # read only; read_run merges it into the zero counts
+    endpoint_fingerprint: str = ""
+    prompt_fingerprint: str = ""
 
 
 def write_run(run: ExtractionRun, path: str | Path) -> None:
@@ -417,28 +413,6 @@ def write_run(run: ExtractionRun, path: str | Path) -> None:
     )
 
 
-def _raise_corrupt(record: object, variant: PromptVariant | None) -> typing.NoReturn:
-    """Raise what is wrong with a record of a ``variant`` run that read_run refused.
-
-    The first of: no object, a missing or unknown variant, another run's variant, a wrong
-    type (in the record's key order), an undeclared key, a missing field (in field order).
-    read_run refuses no record that has none of these faults.
-    """
-    record = typed("the record", record, dict)
-    named = PromptVariant(required(record, "", "variant"))
-    if variant is not None and named is not variant:
-        raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
-    for key, value in record.items():
-        if key in _TRIPLE_KEYS:
-            typed(key, value, _TRIPLE_HINTS[key])
-    for key in record:
-        if key not in _TRIPLE_KEYS:
-            raise ConfigurationError(f"unknown key {key}")
-    for name, default in zip(_TRIPLE_FIELDS, _FIELD_DEFAULTS):
-        if default is None:
-            required(record, "", name)
-
-
 def read_run(path: str | Path) -> ExtractionRun:
     """Rehydrate a run written by :func:`write_run`.
 
@@ -451,8 +425,10 @@ def read_run(path: str | Path) -> ExtractionRun:
     target = Path(path)
     sidecar = target.with_suffix(".stats.json")
     has_sidecar = sidecar.is_file()
-    meta = read_json(sidecar, "run stats file", _run_meta) if has_sidecar else _run_meta({})
-    variant = meta.pop("variant")
+    meta = _RunMeta()
+    if has_sidecar:
+        meta = read_json(sidecar, "run stats file", functools.partial(from_json, _RunMeta))
+    variant = meta.variant
 
     def triple(record: object) -> Triple:
         # one test of the keys, one of the value types and one of the variant
@@ -464,12 +440,21 @@ def read_run(path: str | Path) -> ExtractionRun:
                 variant = variant or named  # without a sidecar, the first record names it
                 if named is variant and named is not None:
                     return Triple(*values)
-        _raise_corrupt(record, variant)
+        # refused: the first fault of no object, a missing or unknown variant, another run's
+        # variant, then a wrong type, an undeclared key or a missing field, as from_json finds
+        record = typed("the record", record, dict)
+        named = PromptVariant(required(record, "", "variant"))
+        if variant is not None and named is not variant:
+            raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
+        return from_json(Triple, record)
 
     triples = read_jsonl(target, "run file", triple)
-    kept = meta.pop("kept")
+    stats = {**_empty_stats(), **meta.stats}
+    # the triples written: every parsed line less those dedupe_and_cap dropped
+    kept = stats["lines_parsed"] - stats["duplicates_removed"] - stats["capped_count"]
     if has_sidecar and kept != len(triples):
         raise ConfigurationError(
             f"corrupt run file {target}: holds {len(triples)} triples, its stats say {kept}"
         )
-    return ExtractionRun(variant=variant or PromptVariant(target.stem), triples=triples, **meta)
+    meta = meta._replace(variant=variant or PromptVariant(target.stem), stats=stats)
+    return ExtractionRun(triples=triples, **meta._asdict())

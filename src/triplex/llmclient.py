@@ -524,6 +524,8 @@ class LlmClient:
         self.transport = transport
         self._gate = threading.Semaphore(config.max_parallel_requests)
         self._embeddings: dict[str, EmbeddingVector] = {}
+        # the first vector's (length,), under one key: setdefault sets it once across threads
+        self._shape: dict[str, tuple[int]] = {}
 
     def __enter__(self) -> "LlmClient":
         return self
@@ -576,10 +578,17 @@ class LlmClient:
         """Fetch the embeddings of ``texts`` through the gate and keep them, unit length."""
         with self._gate:  # a transport may compute each vector as it is taken
             for text, vector in zip(texts, self.transport.embed(texts), strict=True):
-                raw = np.asarray(vector, dtype=np.float64)
+                name = repr(text[:40])
+                try:
+                    raw = np.asarray(vector, dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise TransportError(f"embedding for {name} is not numbers: {exc}") from None
                 norm = float(np.linalg.norm(raw))
                 if not np.isfinite(norm) or norm <= 0.0:
-                    raise TransportError(f"embedding for {text[:40]!r} has invalid norm {norm}")
+                    raise TransportError(f"embedding for {name} has invalid norm {norm}")
+                shape = self._shape.setdefault("", (raw.size,))
+                if raw.shape != shape:
+                    raise TransportError(f"embedding for {name} has shape {raw.shape}, not {shape}")
                 self._embeddings[text] = EmbeddingVector(values=raw / norm)
 
 

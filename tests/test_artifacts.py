@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -138,3 +140,46 @@ def test_reader_rejects_a_missing_or_undecodable_file(tmp_path):
     path.write_bytes('{"a": "Zürich"}\n'.encode("latin-1"))
     with pytest.raises(ConfigurationError, match=corrupt(path, ": ")):
         read_jsonl(path, "thing", dict)
+
+
+class _Point(NamedTuple):
+    x: int
+    label: str = "origin"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Counted:
+    name: str
+    stats: dict[str, int] = dataclasses.field(default_factory=dict)
+
+
+def test_from_json_builds_a_named_tuple_and_names_a_missing_field():
+    assert artifacts.from_json(_Point, {"x": 3}) == _Point(3, "origin")
+    assert artifacts.from_json(_Point, {"label": "a", "x": 1}) == _Point(1, "a")
+    with pytest.raises(ConfigurationError, match=r"^points\.x is required$"):
+        artifacts.from_json(_Point, {"label": "a"}, "points")
+
+
+def test_from_json_types_a_dict_of_values_item_by_item():
+    built = artifacts.from_json(_Counted, {"name": "run", "stats": {"lines_parsed": 4}})
+    assert built == _Counted("run", {"lines_parsed": 4})
+    message = r'^stats\.lines_parsed must be an integer, got "4"$'
+    with pytest.raises(ConfigurationError, match=message):
+        artifacts.from_json(_Counted, {"name": "run", "stats": {"lines_parsed": "4"}})
+    with pytest.raises(ConfigurationError, match=r"^stats must be an object, got \[4\]$"):
+        artifacts.from_json(_Counted, {"name": "run", "stats": [4]})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"note": 1, "name": 5}, "name must be a string, got 5"),
+        ({"note": 1, "name": "run"}, "unknown key note; valid keys: name, stats"),
+        ({"note": 1}, "unknown key note; valid keys: name, stats"),
+        ({"stats": {}}, "name is required"),
+    ],
+    ids=["wrong type", "unknown key", "unknown key and missing field", "missing field"],
+)
+def test_from_json_reports_a_wrong_type_then_an_unknown_key_then_a_missing_field(obj, message):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+        artifacts.from_json(_Counted, obj)

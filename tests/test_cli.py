@@ -46,7 +46,7 @@ def test_invalid_json_config_is_fatal(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["ingest", "--config", str(bad)]) == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    assert f"corrupt config file {bad}: Expecting property name" in capsys.readouterr().err
 
 
 def test_missing_corpus_dir_is_fatal_and_names_the_path(config_file, tmp_path, capsys):
@@ -249,7 +249,7 @@ def _bundled_bank() -> dict:
         ),
         (
             lambda bank: {**bank, "focus_verb": ["sign"]},
-            "unknown config key focus_verb; valid keys: focus_verbs, ",
+            "unknown key focus_verb; valid keys: focus_verbs, ",
         ),
         (
             lambda bank: {**bank, "positive_examples": [{"snippet": "x", "triples": "a, b, c"}]},
@@ -454,7 +454,7 @@ def test_config_json_python_cannot_decode_is_fatal_and_named_by_the_errors_text(
     config.write_text(edit('{"chunk_index": 0}'), encoding="utf-8")
     assert main(["ingest", "--config", str(config)]) == 2
     line = fatal_error_line(capsys.readouterr().err)
-    assert line == f"error: config file {config} is not valid JSON: {message}"
+    assert line == f"error: corrupt config file {config}: {message}"
 
 
 def test_truncated_run_stats_file_is_fatal_and_names_file_and_line(config_file, capsys):
@@ -509,8 +509,12 @@ def test_run_stats_file_of_the_wrong_shape_is_fatal_and_names_file(
         ("[]", "the top level must be an object, got []"),
         ('"zero-shot"', 'the top level must be an object, got "zero-shot"'),
         ('{"variant": 3}', "variant must be one of zero-shot, one-shot, few-shot, negative-examples, got 3"),
+        (
+            '{"note": 1}',
+            "unknown key note; valid keys: endpoint_fingerprint, prompt_fingerprint, stats, variant",
+        ),
     ],
-    ids=["list", "string", "variant"],
+    ids=["list", "string", "variant", "unknown key"],
 )
 def test_run_stats_file_of_the_wrong_shape_names_what_is_wrong(
     config_file, capsys, content, message
@@ -693,10 +697,16 @@ _DELETE = object()
             _DELETE,
             "variants.zero-shot.exact.recall is required",
         ),
+        (
+            ("variants", "zero-shot", "exact", "note"),
+            "x",
+            "unknown key variants.zero-shot.exact.note; valid keys: assignment, f1, pairs, "
+            "precision, recall, semantic_threshold, unmatched_gold, unmatched_predicted",
+        ),
     ],
     ids=[
         "top level", "no variants", "variants list", "variant string", "no semantic",
-        "exact list", "no recall",
+        "exact list", "no recall", "exact note",
     ],
 )
 def test_eval_report_of_the_wrong_shape_names_the_key(config_file, capsys, path, value, message):

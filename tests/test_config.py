@@ -161,16 +161,16 @@ MALFORMED = [
     ("eval", "semantic_threshold", "x", "eval.semantic_threshold must be a number"),
     ("eval", "semantic_threshold", None, "eval.semantic_threshold must be a number"),
     ("eval", "semantic_threshold", 0, "eval.semantic_threshold must be in (0, 1]"),
-    ("eval", "semantic_treshold", 0.8, "unknown config key eval.semantic_treshold"),
+    ("eval", "semantic_treshold", 0.8, "unknown key eval.semantic_treshold"),
     ("eval", "sample_size", -3, "eval.sample_size must not be negative"),
     ("eval", "assignment", "best", "eval.assignment must be one of greedy, optimal"),
     ("endpoint", "max_parallel_requests", 2.5, "endpoint.max_parallel_requests must be an int"),
     ("endpoint", "temperature", 3, "endpoint.temperature out of range"),
     ("endpoint", "profile", "grpc", "endpoint.profile must be one of ollama, openai"),
     ("endpoint", "seed", "1", "endpoint.seed must be an integer or null"),
-    (None, "eval", [1], "config section eval must be a JSON object"),
-    (None, "endpoint", [1], "config section endpoint must be a JSON object"),
-    (None, "corpus", None, "config section corpus must be a JSON object"),
+    (None, "eval", [1], "eval must be an object, got [1]"),
+    (None, "endpoint", [1], "endpoint must be an object, got [1]"),
+    (None, "corpus", None, "corpus must be an object, got null"),
     (None, "output_dir", 3, "output_dir must be a string"),
     ("corpus", "limit", -1, "corpus.limit must not be negative, got -1"),
     ("eval", "frequency_top_k", 0, "eval.frequency_top_k must be at least 1, got 0"),
@@ -199,12 +199,12 @@ def test_unknown_key_is_rejected_in_every_section(config_file, capsys, section):
     config = config_file(**({section: {"colour": "red"}} if section else {"colour": "red"}))
     assert main(["ingest", "--config", str(config)]) == 2
     key = f"{section}.colour" if section else "colour"
-    assert f"unknown config key {key}; valid keys: " in capsys.readouterr().err
+    assert f"unknown key {key}; valid keys: " in capsys.readouterr().err
 
 
 def test_path_keys_are_checked_and_not_taken_for_settings(config_file, tmp_path):
     # a field built from a path key cannot be set directly
-    with pytest.raises(ConfigurationError, match="unknown config key corpus.stopwords"):
+    with pytest.raises(ConfigurationError, match="unknown key corpus.stopwords"):
         load_config(config_file(corpus={"stopwords": ["the"]}))
     with pytest.raises(ConfigurationError, match="corpus.stopwords_file not found"):
         load_config(config_file(corpus={"stopwords_file": str(tmp_path / "absent.txt")}))

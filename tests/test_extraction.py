@@ -763,6 +763,13 @@ def test_write_run_lines_are_json_dumps_and_read_back_equal(tmp_path_factory, tr
     assert [type(t.chunk_index) for t in back.triples] == [int] * len(triples)
 
 
+# the tail of the message for a key a record may not hold
+_VALID_KEYS = (
+    "; valid keys: article_id, chunk_index, doc_id, generic_object, generic_subject, object, "
+    "predicate, subject, variant"
+)
+
+
 def _rewrite_second_record(path, edit) -> None:
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[1] = json.dumps(edit(json.loads(lines[1])), ensure_ascii=False)
@@ -781,7 +788,7 @@ def test_read_run_loads_a_record_with_its_keys_reordered(tmp_path):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (lambda record: {**record, "confidence": 0.9}, "unknown key confidence"),
+        (lambda record: {**record, "confidence": 0.9}, "unknown key confidence" + _VALID_KEYS),
         (lambda record: {**record, "chunk_index": True}, "chunk_index must be an integer, got true"),
         (lambda record: {k: v for k, v in record.items() if k != "object"}, "object is required"),
         (lambda record: {k: v for k, v in record.items() if k != "variant"}, "variant is required"),
@@ -920,9 +927,9 @@ _READ_OUTCOMES = {
     "no generic_subject": {"generic_subject": False},
     "no generic_object": {"generic_object": False},
     "no flags": {"generic_subject": False, "generic_object": False},
-    "extra key": "unknown key note",
-    "extra key for a flag": "unknown key note",
-    "extra key for both flags": "unknown key note",
+    "extra key": "unknown key note" + _VALID_KEYS,
+    "extra key for a flag": "unknown key note" + _VALID_KEYS,
+    "extra key for both flags": "unknown key note" + _VALID_KEYS,
     "other variant": "record names zero-shot, the run negative-examples",
     "reordered, no generic_subject": {"generic_subject": False},
     "record string": 'the record must be an object, got "x"',

@@ -1086,6 +1086,48 @@ def test_embed_raises_the_lowest_failing_batchs_error(serve):
     assert 1 <= len(server.requests) <= 4
 
 
+@pytest.mark.parametrize(
+    "replies, message",
+    [
+        ([[["a", "b"]]], "^embedding for 'x' is not numbers: could not convert string to float: 'a'$"),
+        ([[[[1.0], [0.0]]]], r"^embedding for 'x' has shape \(2, 1\), not \(2,\)$"),
+        ([[3.0]], r"^embedding for 'x' has shape \(\), not \(1,\)$"),
+        ([[[]]], "^embedding for 'x' has invalid norm 0.0$"),
+        ([[[1.0, 0.0], [1.0, 0.0, 0.0]]], r"^embedding for 'y' has shape \(3,\), not \(2,\)$"),
+        ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], r"^embedding for 'y' has shape \(3,\), not \(2,\)$"),
+    ],
+    ids=["strings", "nested", "number", "empty", "longer in one reply", "longer in a later reply"],
+)
+def test_embed_refuses_a_vector_that_is_not_one_list_of_numbers_as_long_as_the_others(
+    serve, replies, message
+):
+    server = serve(*(Reply(200, {"embeddings": vectors}) for vectors in replies))
+    transport, _ = _transport(server, max_parallel_requests=1)
+    client = LlmClient(transport.config, transport)
+    names = iter("xy")  # each reply answers texts not embedded before
+    with pytest.raises(TransportError, match=message):
+        for vectors in replies:
+            client.embed([next(names) for _ in vectors])
+    assert len(server.requests) == len(replies)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [lambda n: [["a", "b"]] * n, lambda n: [[1.0] * (i + 1) for i in range(n)]],
+    ids=["strings", "lengths"],
+)
+def test_live_eval_exits_2_naming_the_text_of_a_bad_embed_vector(
+    serve, config_file, capsys, vectors
+):
+    server = serve(*[lambda payload: Reply(200, {"embeddings": vectors(len(payload["input"]))})] * 10)
+    config = config_file(endpoint={"base_url": server.url, "max_parallel_requests": 2})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    assert cli.main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config), "--backend", "live"]) == 2
+    assert capsys.readouterr().err.startswith("error: embedding for ")
+
+
 # ---------------------------------------------------------------------------
 # live endpoint (opt-in)
 # ---------------------------------------------------------------------------
