@@ -3,9 +3,11 @@
 Every file is UTF-8; a leading byte-order mark is ignored. Every writer
 replaces its target atomically: the text goes to ``<name>.tmp`` beside the
 target, which ``os.replace`` then moves over it, so a reader sees the old file
-or the new one, never a partial write. A file that cannot be written, read,
-decoded or built is a ``ConfigurationError`` that names the file and, for
-JSONL, the line. :func:`from_json` builds the declared type a JSON object holds.
+or the new one, never a partial write. Lines go in one at a time as they are
+made, with no whole-file string and no encoded copy. A file that cannot be
+written, read, decoded or built is a ``ConfigurationError`` that names the
+file and, for JSONL, the line. :func:`from_json` builds the declared type a
+JSON object holds.
 """
 
 from __future__ import annotations
@@ -40,15 +42,15 @@ _JSON_TYPES = {
 }
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8, byte for byte (no newline translation)."""
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or strings taken one by one, as UTF-8, byte for byte."""
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines((text,) if isinstance(text, str) else text)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -62,7 +64,7 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
-    write_text(path, "".join(_JSONL_ENCODE(r) + "\n" for r in records))
+    write_text(path, (_JSONL_ENCODE(r) + "\n" for r in records))
 
 
 def read_text(path: str | Path, kind: str) -> str:

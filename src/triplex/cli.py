@@ -66,10 +66,10 @@ def cmd_ingest(config: PipelineConfig) -> int:
 
 
 def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
-    corpus = read_corpus_jsonl(config.corpus_cache)
+    # the corpus is dropped once chunked: extraction reads only the chunks
+    chunks = chunk_corpus(read_corpus_jsonl(config.corpus_cache), config.preprocess)
     bank = load_example_bank(config.examples_file)
     templates = PromptTemplates.from_dir(config.template_dir)
-    chunks = chunk_corpus(corpus, config.preprocess)
     worst = EXIT_OK
     with make_client(config.endpoint, backend) as client:
         for variant in _variants(variant_name):
@@ -95,6 +95,7 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
             )
             if run.stats["chunks_failed"]:
                 worst = max(worst, EXIT_PARTIAL)
+            del run  # the next variant extracts with this one's triples already freed
     return worst
 
 

@@ -401,7 +401,7 @@ def write_run(run: ExtractionRun, path: str | Path) -> None:
     target = Path(path)
     # the triples transposed into one column per field, each encoded lazily, zipped back per line
     columns = map(map, _FIELD_ENCODERS, zip(*run.triples))
-    write_text(target, "".join(map(_RUN_LINE.__mod__, zip(*columns))))
+    write_text(target, map(_RUN_LINE.__mod__, zip(*columns)))
     write_json(
         target.with_suffix(".stats.json"),
         {

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import re
+import tracemalloc
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,6 +18,8 @@ from triplex import artifacts
 from triplex.artifacts import read_json, read_jsonl, write_json, write_jsonl, write_text
 from triplex.cli import main
 from triplex.errors import ConfigurationError
+from triplex.extraction import ExtractionRun, Triple, write_run
+from triplex.prompting import PromptVariant
 
 
 def test_write_text_keeps_every_byte(tmp_path):
@@ -74,6 +79,98 @@ def test_failed_replace_during_ingest_keeps_the_cache(config_file, monkeypatch):
     assert main(["ingest", "--config", str(config)]) == 2
     assert (out / "corpus.jsonl").read_bytes() == before
     assert list(out.rglob("*.tmp")) == []
+
+
+def _open_failing_after(writes: int):
+    """An ``open`` whose handles write ``writes`` strings, then raise ``OSError`` on the next."""
+
+    class Handle(io.TextIOWrapper):
+        written = 0
+
+        def write(self, text):
+            if self.written == writes:
+                raise OSError("disk full")
+            self.written += 1
+            return super().write(text)
+
+    def fake_open(file, mode, encoding, newline):
+        assert mode == "w"
+        return Handle(open(file, "wb"), encoding=encoding, newline=newline)
+
+    return fake_open
+
+
+def test_unencodable_record_partway_raises_and_keeps_the_old_artifact(tmp_path):
+    path = tmp_path / "artifact.jsonl"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_jsonl(path, [{"n": 1}, {"n": 2}, {"n": object()}, {"n": 4}])
+    assert path.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.jsonl"]
+
+
+def test_failed_write_partway_keeps_the_old_artifact_and_leaves_no_temp_file(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "artifact.jsonl"
+    path.write_bytes(b"old bytes")
+    monkeypatch.setattr(artifacts, "open", _open_failing_after(2), raising=False)
+    message = f"^cannot write {re.escape(str(path))}: disk full$"
+    with pytest.raises(ConfigurationError, match=message):
+        write_jsonl(path, ({"n": n} for n in range(5)))
+    assert path.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.jsonl"]
+
+
+def test_failed_write_partway_through_ingest_exits_2_and_keeps_the_cache(
+    config_file, monkeypatch, capsys
+):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    out = Path(json.loads(config.read_text(encoding="utf-8"))["output_dir"])
+    before = (out / "corpus.jsonl").read_bytes()
+    assert before.count(b"\n") > 1
+    monkeypatch.setattr(artifacts, "open", _open_failing_after(1), raising=False)
+    assert main(["ingest", "--config", str(config)]) == 2
+    cache = re.escape(str(out / "corpus.jsonl"))
+    assert re.search(f"cannot write {cache}: disk full", capsys.readouterr().err)
+    assert (out / "corpus.jsonl").read_bytes() == before
+    assert list(out.rglob("*.tmp")) == []
+
+
+def _writers(count: int) -> dict[str, Callable[[Path], None]]:
+    """Each streamed writer, given ``count`` triples built before the call."""
+    triples = [
+        Triple(
+            f"Party {i % 9}", "shall eliminate", f"customs duties on heading {i:05d}",
+            f"agreement-{i // 100}", f"article:{i % 100:03d}", i % 4, PromptVariant.FEW_SHOT,
+        )
+        for i in range(count)
+    ]
+    run = ExtractionRun(PromptVariant.FEW_SHOT, triples, {}, "endpoint", "prompt")
+    records = [{**t._asdict(), "variant": t.variant.value} for t in triples]
+    return {
+        "write_run": lambda path: write_run(run, path),
+        "write_jsonl": lambda path: write_jsonl(path, records),
+    }
+
+
+@pytest.mark.parametrize("writer", ["write_run", "write_jsonl"])
+def test_streamed_writer_peaks_below_the_size_of_the_file_it_writes(tmp_path, writer):
+    path = tmp_path / "few-shot.jsonl"
+    write = _writers(20_000)[writer]
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        write(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # a writer that joins the lines, then encodes them, holds the file about 2.7 times over
+    assert peak - held < path.stat().st_size
 
 
 def corrupt(path: Path, where: str) -> str:

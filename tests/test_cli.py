@@ -8,13 +8,14 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import triplex
 from regen_golden import quickstart_manifest, run_all, run_all_eval_report, run_all_pinned
-from triplex import extraction
+from triplex import cli, extraction
 from triplex.cli import main
 from triplex.corpus import chunk_document, read_corpus_jsonl
 from triplex.prompting import PromptVariant
@@ -111,6 +112,27 @@ def test_extract_of_every_variant_chunks_each_document_once(config_file, monkeyp
     assert len(documents) > 1
     assert sorted(chunked) == sorted(doc.doc_id for doc in documents)
     assert len(list((out_dir_of(config) / "runs").glob("*.jsonl"))) == len(PromptVariant)
+
+
+def test_extract_frees_each_variant_run_before_the_next_variant_starts(config_file, monkeypatch):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    written: list[weakref.ref] = []
+    alive_at_start: list[int] = []
+
+    def write_run(run, path):
+        written.append(weakref.ref(run))
+        extraction.write_run(run, path)
+
+    def run_extraction(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in written))
+        return extraction.run_extraction(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_run", write_run)
+    monkeypatch.setattr(cli, "run_extraction", run_extraction)
+    assert main(["extract", "--config", str(config), "--variant", "all"]) == 0
+    assert len(written) == len(PromptVariant)
+    assert alive_at_start == [0] * len(PromptVariant)
 
 
 def test_ingest_finds_the_one_article_of_an_agreement_nested_5000_deep(config_file, tmp_path):
