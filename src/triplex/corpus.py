@@ -37,7 +37,8 @@ __all__ = [
 MIN_CHUNK_CHARS = 200
 DEFAULT_MAX_CHUNK_CHARS = 4000
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
+# split by tokens, kept: the text before each token, the token, ..., the text after the last
+_TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s]+)")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _UNIT_TAG_RE = re.compile(r"article|chapter", re.IGNORECASE)
 
@@ -214,19 +215,18 @@ def preprocess(text: str, config: PreprocessConfig) -> str:
     and applying it twice gives the same result as applying it once.
     """
     removal = config.removal_terms
+    parts = _TOKEN_SPLIT.split(text)
     pieces: list[str] = []
     sep = ""  # the text since the last kept token, removed tokens left out
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        sep += text[pos : m.start()]
-        pos = m.end()
-        token = m.group()
-        if token.lower() in removal:
+    for gap, token in zip(parts[::2], parts[1::2]):
+        sep += gap
+        lowered = token.lower()
+        if lowered in removal:
             continue
         if pieces:
             pieces.append((" " if sep else "") if config.collapse_whitespace else sep)
         sep = ""
-        pieces.append(token.lower() if config.lowercase else token)
+        pieces.append(lowered if config.lowercase else token)
     return "".join(pieces)
 
 

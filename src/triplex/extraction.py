@@ -14,6 +14,7 @@ import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,20 +100,17 @@ class ExtractionRun:
     prompt_fingerprint: str
 
 
+# the counts run_extraction takes from each chunk, in the order the chunk gives them
+_CHUNK_COUNTS = (
+    "chunks_processed", "chunks_failed", "lines_seen", "lines_parsed", "lines_rejected",
+    "generic_flagged", "refined_count", "refine_failures", "complex_predicates",
+)
+_FAILED_CHUNK = tuple(int(key == "chunks_failed") for key in _CHUNK_COUNTS)
+
+
 def _empty_stats() -> dict[str, int]:
-    return {
-        "chunks_processed": 0,
-        "chunks_failed": 0,
-        "lines_seen": 0,
-        "lines_parsed": 0,
-        "lines_rejected": 0,
-        "duplicates_removed": 0,
-        "capped_count": 0,
-        "generic_flagged": 0,
-        "refined_count": 0,
-        "refine_failures": 0,
-        "complex_predicates": 0,
-    }
+    # dedupe_and_cap's two counts are the run's, set once every chunk is in
+    return dict.fromkeys((*_CHUNK_COUNTS, "duplicates_removed", "capped_count"), 0)
 
 
 def parse_triples(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int, str, str]]]:
@@ -133,7 +131,7 @@ def parse_triples(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int,
             body = line.rstrip(".,;")
             if body.startswith("(") and body.endswith(")"):
                 body = body[1:-1]
-            fields = [part.strip() for part in body.split("|")]
+            fields = body.split("|")
             if len(fields) != 3:
                 rejections.append(
                     (number, raw_line, f"expected 3 fields separated by '|', got {len(fields)}")
@@ -144,12 +142,14 @@ def parse_triples(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int,
             if not quoted:
                 rejections.append((number, raw_line, "not a recognizable triple line"))
                 continue
-            fields = [field.strip() for field in quoted.group("s", "p", "o")]
-        empty = [name for name, field in zip(TripleCandidate._fields, fields) if not field]
-        if empty:
-            rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
+            fields = quoted.group("s", "p", "o")
+        s, p, o = fields
+        s, p, o = s.strip(), p.strip(), o.strip()
+        if s and p and o:
+            candidates.append(TripleCandidate(s, p, o, raw_line, number))
             continue
-        candidates.append(TripleCandidate(*fields, source_line=raw_line, line_number=number))
+        empty = [name for name, field in zip(TripleCandidate._fields, (s, p, o)) if not field]
+        rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
     return candidates, rejections
 
 
@@ -285,13 +285,13 @@ def run_extraction(
     The prompt's fixed part is rendered once; each chunk only fills in
     ``{{chunk}}``. Chunks are handed out one at a time to as many worker
     threads as the client allows requests in flight
-    (``max_parallel_requests`` for a live endpoint, one for the in-process
-    mock). Chunks are taken, and merged, in the order given, so repeated
-    runs produce identical output whatever the worker count. A chunk whose
-    request ultimately fails is recorded in the stats and skipped; the run
-    only fails when every chunk does. Any other error stops the run: no
-    worker takes a new chunk after it, and the error raised is that of the
-    first failing chunk in that order.
+    (``max_parallel_requests`` for a live endpoint); with one (every mock
+    client) they run on the calling thread. Chunks are taken, and merged, in
+    the order given, so repeated runs produce identical output whatever the
+    worker count. A chunk whose request ultimately fails is recorded in the
+    stats and skipped; the run only fails when every chunk does. Any other
+    error stops the run: no worker takes a new chunk after it, and the error
+    raised is that of the first failing chunk in that order.
     """
     templates = templates or PromptTemplates.default()
     lexicon = generic_lexicon if generic_lexicon is not None else default_generic_terms()
@@ -306,50 +306,47 @@ def run_extraction(
     if not chunks:
         return run
 
-    def process(chunk: Chunk):
+    def process(chunk: Chunk) -> tuple[list[Triple], tuple[int, ...]]:
         doc_id, article_id, chunk_index, text = chunk
         prompt = build_prompt(variant, bank, text, templates)
         try:
             reply = client.complete(prompt.text)
         except TransportError:
-            return [], {"chunks_failed": 1}
+            return [], _FAILED_CHUNK
         candidates, rejections = parse_triples(reply)
         triples: list[Triple] = []
-        for candidate in candidates:
-            s, p, o = map(normalize_field, candidate[:3])
+        flagged = complex_predicates = 0
+        for s, p, o, _, _ in candidates:
+            s, p, o = normalize_field(s), normalize_field(p), normalize_field(o)
             if s and p and o:
-                triples.append(Triple(
-                    s, p, o, doc_id, article_id, chunk_index, variant,
-                    generic_subject=s in lexicon, generic_object=o in lexicon,
-                ))
-        flagged = sum(1 for t in triples if t.generic_subject or t.generic_object)
+                generic_s, generic_o = s in lexicon, o in lexicon
+                triples.append(
+                    Triple(s, p, o, doc_id, article_id, chunk_index, variant, generic_s, generic_o)
+                )
+                flagged += generic_s or generic_o
+                # refinement replaces subjects and objects only, so the predicate counts now
+                complex_predicates += len(p.split()) > COMPLEX_PREDICATE_TOKENS
         refined_count = refine_failures = 0
         if variant is PromptVariant.NEGATIVE_EXAMPLES and flagged:
             triples, refined_count, refine_failures = refine_generic(triples, text, client, lexicon)
         lines_seen = len(candidates) + len(rejections)
         # refinement never changes the triple count, so every line not kept was rejected
-        return triples, {
-            "chunks_processed": 1,
-            "lines_seen": lines_seen,
-            "lines_parsed": len(triples),
-            "lines_rejected": lines_seen - len(triples),
-            "generic_flagged": flagged,
-            "refined_count": refined_count,
-            "refine_failures": refine_failures,
-            "complex_predicates": sum(
-                len(t.predicate.split()) > COMPLEX_PREDICATE_TOKENS for t in triples
-            ),
-        }
+        parsed = len(triples)
+        return triples, (
+            1, 0, lines_seen, parsed, lines_seen - parsed,
+            flagged, refined_count, refine_failures, complex_predicates,
+        )
 
     workers = min(client.config.max_parallel_requests, len(chunks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = _in_order(pool, workers, process, chunks)
+    if workers <= 1:
+        results = [*map(process, chunks)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = _in_order(pool, workers, process, chunks)
 
-    collected: list[Triple] = []
-    for triples, chunk_stats in results:
-        for key, value in chunk_stats.items():
-            stats[key] += value
-        collected.extend(triples)
+    chunk_triples, chunk_counts = zip(*results)
+    stats.update(zip(_CHUNK_COUNTS, map(sum, zip(*chunk_counts))))
+    collected = [triple for triples in chunk_triples for triple in triples]
     if stats["chunks_failed"] == len(chunks):
         raise ExtractionError(
             f"all {len(chunks)} chunks failed; last resort is checking the endpoint"
@@ -399,8 +396,8 @@ class _RunMeta(NamedTuple):
 def write_run(run: ExtractionRun, path: str | Path) -> None:
     """Write a run as JSONL (one triple per line) plus a ``.stats.json`` sidecar."""
     target = Path(path)
-    # the triples transposed into one column per field, each encoded lazily, zipped back per line
-    columns = map(map, _FIELD_ENCODERS, zip(*run.triples))
+    # one lazy column per field, so each line is encoded from its triple as it is written
+    columns = [map(f, map(itemgetter(i), run.triples)) for i, f in enumerate(_FIELD_ENCODERS)]
     write_text(target, map(_RUN_LINE.__mod__, zip(*columns)))
     write_json(
         target.with_suffix(".stats.json"),

@@ -137,7 +137,7 @@ class PromptTemplates:
             ).hexdigest()
             for variant in self._texts
         }
-        self._filled_texts: dict[tuple[PromptVariant, ExampleBank], str] = {}
+        self._filled_texts: dict[tuple[PromptVariant, int], tuple[ExampleBank, str]] = {}
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "PromptTemplates":
@@ -163,20 +163,21 @@ class PromptTemplates:
     def filled(self, variant: PromptVariant, bank: ExampleBank) -> str:
         """The template for ``variant`` with every slot but ``{{chunk}}`` filled from ``bank``.
 
-        Rendered once per (variant, bank) and kept. Only a bank that passes
+        Rendered once per variant and bank object, and kept. Only a bank that passes
         :func:`validate_bank` is kept, so a deficient one raises
         :class:`BankValidationError` on every call.
         """
-        key = (variant, bank)
-        text = self._filled_texts.get(key)
+        # keyed by the bank's identity: its hash walks every example. The entry holds the
+        # bank, so no other bank takes its id while the entry lives
+        entry = self._filled_texts.get((variant, id(bank)))
         # unlocked: threads that miss at once each render the same text
-        if text is None:
+        if entry is None:
             deficiencies = validate_bank(bank, variant)
             if deficiencies:
                 raise BankValidationError(deficiencies)
-            text = _fill_bank_slots(self._texts[variant], bank)
-            self._filled_texts[key] = text
-        return text
+            entry = bank, _fill_bank_slots(self._texts[variant], bank)
+            self._filled_texts[variant, id(bank)] = entry
+        return entry[1]
 
 
 def constraint_clauses(template_text: str) -> tuple[str, ...]:

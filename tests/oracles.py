@@ -3,16 +3,20 @@
 Everything here is written from the matching rules themselves, not from the
 implementation: eligibility is recomputed field by field, and the assignment
 oracle is an exhaustive search over gold subsets rather than a linear
-assignment solver.
+assignment solver. The parser and tokenizer references are the plain,
+slower implementations those functions replaced, kept as written: the fast
+ones must give the same result on every input.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 
 from triplex.evaluation import MatchMode
-from triplex.extraction import Triple
+from triplex.corpus import PreprocessConfig
+from triplex.extraction import Triple, TripleCandidate
 from triplex.gold import GoldTriple
 from triplex.prompting import PromptVariant
 
@@ -131,3 +135,63 @@ def random_instance(rng: random.Random, max_gold: int = 6, max_predicted: int = 
             )
         )
     return predicted, gold
+
+
+_QUOTED_TUPLE_RE = re.compile(
+    r"""^\(?\s*(['"])(?P<s>.*?)\1\s*,\s*(['"])(?P<p>.*?)\3\s*,\s*(['"])(?P<o>.*?)\5\s*\)?\s*[.,;]?\s*$"""
+)
+
+
+def parse_triples_oracle(raw_text: str) -> tuple[list[TripleCandidate], list[tuple[int, str, str]]]:
+    """``parse_triples`` line by line with a list per field, the reference it must match."""
+    candidates: list[TripleCandidate] = []
+    rejections: list[tuple[int, str, str]] = []
+    for number, raw_line in enumerate(raw_text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line:
+            rejections.append((number, raw_line, "blank line"))
+            continue
+        if "|" in line:
+            body = line.rstrip(".,;")
+            if body.startswith("(") and body.endswith(")"):
+                body = body[1:-1]
+            fields = [part.strip() for part in body.split("|")]
+            if len(fields) != 3:
+                rejections.append(
+                    (number, raw_line, f"expected 3 fields separated by '|', got {len(fields)}")
+                )
+                continue
+        else:
+            quoted = _QUOTED_TUPLE_RE.match(line)
+            if not quoted:
+                rejections.append((number, raw_line, "not a recognizable triple line"))
+                continue
+            fields = [field.strip() for field in quoted.group("s", "p", "o")]
+        empty = [name for name, field in zip(TripleCandidate._fields, fields) if not field]
+        if empty:
+            rejections.append((number, raw_line, f"empty {', '.join(empty)}"))
+            continue
+        candidates.append(TripleCandidate(*fields, source_line=raw_line, line_number=number))
+    return candidates, rejections
+
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
+
+
+def preprocess_oracle(text: str, config: PreprocessConfig) -> str:
+    """``preprocess`` one token match at a time, the reference it must match."""
+    removal = config.removal_terms
+    pieces: list[str] = []
+    sep = ""  # the text since the last kept token, removed tokens left out
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        sep += text[pos : m.start()]
+        pos = m.end()
+        token = m.group()
+        if token.lower() in removal:
+            continue
+        if pieces:
+            pieces.append((" " if sep else "") if config.collapse_whitespace else sep)
+        sep = ""
+        pieces.append(token.lower() if config.lowercase else token)
+    return "".join(pieces)

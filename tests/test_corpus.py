@@ -24,6 +24,8 @@ from triplex.corpus import (
 )
 from triplex.errors import ConfigurationError
 
+from oracles import preprocess_oracle
+
 # Tokenizer written independently of the implementation: maximal runs of word
 # characters or of non-space punctuation. Used as an oracle below.
 _ORACLE_TOKEN = re.compile(r"\w+|[^\w\s]+")
@@ -273,6 +275,24 @@ def test_preprocess_token_oracle_and_idempotence(text, lowercase, collapse):
         expected = [t.lower() for t in expected]
     assert oracle_tokens(out) == expected
     assert preprocess(out, config) == out
+
+
+# removal terms, kept words, punctuation that runs into its neighbours, and whitespace, so drawn
+# texts start and end with any of them
+_PREPROCESS_PIECES = st.sampled_from(
+    ["the", "The", "of", "shall", "Agreement", "tariff", "Japan", "2003", "Parties", "x_y",
+     ".", ",", ";", "...", "!?", "(", ")", "--", "'", '"', "é",
+     " ", "  ", "\t", "\n", " \n ", "\u2028", "\xa0", ""]
+)
+
+
+@pytest.mark.parametrize("lowercase", [False, True])
+@pytest.mark.parametrize("collapse", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(_PREPROCESS_PIECES | st.text(max_size=3), max_size=30).map("".join))
+def test_preprocess_matches_the_reference(text, lowercase, collapse):
+    config = PreprocessConfig(lowercase=lowercase, collapse_whitespace=collapse)
+    assert preprocess(text, config) == preprocess_oracle(text, config)
 
 
 def test_preprocess_document_fills_clean_text(corpus_dir):

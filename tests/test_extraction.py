@@ -38,8 +38,10 @@ from triplex.extraction import (
     run_extraction,
     write_run,
 )
-from triplex.llmclient import EndpointConfig, LlmClient, MockTransport, mock_embedding
+from triplex.llmclient import EndpointConfig, LlmClient, MockTransport, make_client, mock_embedding
 from triplex.prompting import PromptTemplates, PromptVariant
+
+from oracles import parse_triples_oracle
 
 
 def make_triple(s, p, o, doc="doc", generic_subject=False, generic_object=False):
@@ -164,6 +166,20 @@ def test_parse_is_total_and_partitions_lines(raw):
     assert taken == list(range(1, len(raw.splitlines()) + 1))
     for candidate in candidates:
         assert candidate.subject and candidate.predicate and candidate.object
+
+
+# the grammar's marks, and the line breaks splitlines honours beyond "\n", so drawn replies hold
+# triples, near misses, empty fields and blank lines
+_REPLY_PIECES = st.sampled_from(
+    ["|", " | ", "(", ")", "'", '"', ",", ".", ";", " ", "\t", "\n", "\r\n", "\n\n", "\x1c",
+     "\u2028", "Japan", "exports", "(Japan | exports | cars).", "('a', 'b', 'c')", "( | x | )"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_REPLY_PIECES | st.text(max_size=3), max_size=40).map("".join))
+def test_parse_triples_matches_the_reference(raw):
+    assert parse_triples(raw) == parse_triples_oracle(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +633,24 @@ def test_worker_count_never_changes_the_run(bank, small_chunks_config, corpus_di
         assert serial.triples == threaded.triples
         assert serial.stats == threaded.stats
         assert serial.stats["chunks_processed"] > 1
+
+
+def test_one_worker_extract_runs_on_the_calling_thread(
+    monkeypatch, bank, small_chunks_config, corpus_dir
+):
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def record(thread: threading.Thread) -> None:
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    client = make_client(EndpointConfig(max_parallel_requests=4, seed=7), "mock")
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
+    run = run_extraction(chunks, PromptVariant.NEGATIVE_EXAMPLES, bank, client)
+    assert run.stats["chunks_processed"] == len(chunks) > 1
+    assert started == []
 
 
 def test_many_workers_take_each_chunk_exactly_once(bank, small_chunks_config):

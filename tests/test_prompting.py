@@ -177,6 +177,22 @@ def test_rendering_is_deterministic(bank):
         assert first == second
 
 
+def test_filled_template_follows_the_bank_even_when_one_takes_a_dropped_banks_id(bank):
+    templates = PromptTemplates.default()
+    first = ExampleBank(bank.ner_definition, bank.positive_examples[:1])
+    first_prompt = build_prompt(PromptVariant.ONE_SHOT, first, CHUNK, templates).text
+    snippet = "Chile shall reduce tariffs on copper."
+    examples = (replace(bank.positive_examples[0], snippet=snippet),)
+    del first
+    # built from arguments made beforehand, this bank most likely takes the dropped one's memory,
+    # and so its id
+    second = ExampleBank(bank.ner_definition, examples)
+    second_prompt = build_prompt(PromptVariant.ONE_SHOT, second, CHUNK, templates).text
+    assert snippet not in first_prompt
+    assert snippet in second_prompt
+    assert second_prompt == build_prompt(PromptVariant.ONE_SHOT, second, CHUNK).text
+
+
 def test_prompt_examples_parse_with_the_output_grammar(bank):
     """The format the prompt demonstrates must be the format the parser reads."""
     prompt = build_prompt(PromptVariant.FEW_SHOT, bank, "EMPTY_CASE")
