@@ -13,6 +13,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from .artifacts import read_jsonl, required, typed, write_jsonl
@@ -88,16 +89,14 @@ class PreprocessConfig:
                 f"got {self.max_chunk_chars}"
             )
 
-    @property
+    @cached_property  # built once per config: not a field, so ==, hash and replace ignore it
     def removal_terms(self) -> frozenset[str]:
         return self.stopwords | self.domain_filler_terms
 
 
-def _local_tag(tag: object) -> str:
-    # ElementTree uses "{namespace}tag" for namespaced elements; comments and
-    # processing instructions have non-string tags and are never units.
-    if not isinstance(tag, str):
-        return ""
+def _local_tag(tag: str) -> str:
+    # ElementTree uses "{namespace}tag" for namespaced elements; ET.parse drops
+    # comments and processing instructions, so every tag is a string
     return tag.rsplit("}", 1)[-1].lower()
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import re
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -22,7 +21,7 @@ from .artifacts import from_json, read_json, read_jsonl, required, typed, write_
 from .corpus import CorpusIndex, PreprocessConfig, chunk_document
 from .defaults import default_generic_terms
 from .errors import ConfigurationError, ExtractionError, TransportError
-from .llmclient import LlmClient, _in_order
+from .llmclient import LlmClient
 from .prompting import ExampleBank, PromptTemplates, PromptVariant, build_prompt
 
 __all__ = [
@@ -283,8 +282,8 @@ def run_extraction(
     """Extract triples from every chunk of :func:`chunk_corpus` with one variant.
 
     The prompt's fixed part is rendered once; each chunk only fills in
-    ``{{chunk}}``. Chunks are handed out one at a time to as many worker
-    threads as the client allows requests in flight
+    ``{{chunk}}``. Chunks go through :meth:`LlmClient.map`, one at a time to
+    as many worker threads as the client allows requests in flight
     (``max_parallel_requests`` for a live endpoint); with one (every mock
     client) they run on the calling thread. Chunks are taken, and merged, in
     the order given, so repeated runs produce identical output whatever the
@@ -337,14 +336,7 @@ def run_extraction(
             flagged, refined_count, refine_failures, complex_predicates,
         )
 
-    workers = min(client.config.max_parallel_requests, len(chunks))
-    if workers <= 1:
-        results = [*map(process, chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = _in_order(pool, workers, process, chunks)
-
-    chunk_triples, chunk_counts = zip(*results)
+    chunk_triples, chunk_counts = zip(*client.map(process, chunks))
     stats.update(zip(_CHUNK_COUNTS, map(sum, zip(*chunk_counts))))
     collected = [triple for triples in chunk_triples for triple in triples]
     if stats["chunks_failed"] == len(chunks):

@@ -172,12 +172,9 @@ def mock_embedding(text: str) -> np.ndarray:
         raise ValueError("cannot embed empty text")
     vec = np.zeros(EMBEDDING_DIM, dtype=np.float64)
     for word in words:
-        padded = f"#{word}#"
-        if len(padded) < 3:
-            vec[_bucket(padded)] += 1.0
-        else:
-            for i in range(len(padded) - 2):
-                vec[_bucket(padded[i : i + 3])] += 1.0
+        padded = f"#{word}#"  # at least 3 characters: split() yields no empty word
+        for i in range(len(padded) - 2):
+            vec[_bucket(padded[i : i + 3])] += 1.0
     norm = float(np.linalg.norm(vec))
     return vec / norm
 
@@ -409,7 +406,9 @@ class HttpTransport:
                 self._idle.append(connection)
                 return reply
 
-    def _request(self, target: str, payload: dict) -> object:
+    def _request(self, kind: str, target: str, payload: dict, read: Callable) -> object:
+        """POST ``payload`` and return ``read`` of its JSON reply, retrying as the class says;
+        a reply ``read`` cannot take raises at once, as a ``kind`` reply of the wrong shape."""
         url = self._origin + target
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
@@ -438,22 +437,18 @@ class HttpTransport:
                     f"{data.decode('utf-8', 'replace')[:200]}"
                 )
             try:
-                return json.loads(data)
+                reply = json.loads(data)
             except ValueError as exc:
                 last_error = TransportError(f"non-JSON response from {url}: {exc}")
                 continue
+            try:
+                return read(reply)
+            except (KeyError, IndexError, TypeError):
+                raise TransportError(f"unexpected {kind} response shape: {str(reply)[:200]}")
         raise TransportError(
             f"request to {url} failed after {self.config.max_retries + 1} attempts: "
             f"{last_error}"
         )
-
-    def _reply(self, kind: str, target: str, payload: dict, read: Callable) -> object:
-        """POST ``payload`` and return ``read`` of the JSON reply."""
-        data = self._request(target, payload)
-        try:
-            return read(data)
-        except (KeyError, IndexError, TypeError):
-            raise TransportError(f"unexpected {kind} response shape: {str(data)[:200]}")
 
     def chat(self, prompt_text: str) -> str:
         config = self.config
@@ -465,12 +460,12 @@ class HttpTransport:
             "messages": [{"role": "user", "content": prompt_text}],
             **self._wire.chat_fields(decoding),
         }
-        return self._reply("chat", self._chat_target, payload, self._wire.chat_reply)
+        return self._request("chat", self._chat_target, payload, self._wire.chat_reply)
 
     def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         """The vectors of ``texts``, from one request with a list ``input``."""
         payload = {"model": self.config.embedding_model, "input": [*texts]}
-        vectors = self._reply(
+        vectors = self._request(
             "embedding", self._embeddings_target, payload, self._wire.embeddings_reply
         )
         if len(vectors) != len(texts):
@@ -484,45 +479,15 @@ class HttpTransport:
         return self.embed([text])[0]
 
 
-def _in_order(pool: ThreadPoolExecutor, workers: int, fn: Callable, items: Sequence) -> list:
-    """``fn`` of each item, on ``workers`` tasks of ``pool`` that each take the next item.
-
-    Returns the results in input order. After an item fails no task takes
-    another, and the error raised is that of the lowest failing index, as a
-    serial loop's would be: every item before it was taken, and has finished.
-    """
-    pending = iter(enumerate(items))
-    take = threading.Lock()
-    results: list = [None] * len(items)
-    failures: dict[int, BaseException] = {}
-
-    def drain(_worker: int) -> None:
-        while True:
-            with take:
-                item = None if failures else next(pending, None)
-            if item is None:
-                return
-            index, value = item
-            try:
-                results[index] = fn(value)
-            except BaseException as exc:
-                with take:
-                    failures[index] = exc
-                return
-
-    list(pool.map(drain, range(workers)))
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 class LlmClient:
     """Facade over a transport: bounded parallelism and an embedding store."""
 
     def __init__(self, config: EndpointConfig, transport: Transport) -> None:
         self.config = config
         self.transport = transport
-        self._gate = threading.Semaphore(config.max_parallel_requests)
+        n = config.max_parallel_requests
+        # a bound of one takes the cheaper Lock; both block a second holder until release
+        self._gate = threading.Lock() if n == 1 else threading.Semaphore(n)
         self._embeddings: dict[str, EmbeddingVector] = {}
         # the first vector's (length,), under one key: setdefault sets it once across threads
         self._shape: dict[str, tuple[int]] = {}
@@ -537,6 +502,43 @@ class LlmClient:
         """Close the transport's connections; call it with no request in flight."""
         self.transport.close()
 
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """``fn`` of each item, in input order, on as many threads as requests may be in flight.
+
+        That is ``min(max_parallel_requests, len(items))`` threads, each taking
+        the next item; with at most one, the calling thread runs every item.
+        After an item fails no thread takes another, and the error raised is
+        that of the lowest failing index, as a serial loop's would be: every
+        item before it was taken, and has finished.
+        """
+        workers = min(self.config.max_parallel_requests, len(items))
+        if workers <= 1:
+            return [fn(item) for item in items]
+        pending = iter(enumerate(items))
+        take = threading.Lock()
+        results: list = [None] * len(items)
+        failures: dict[int, BaseException] = {}
+
+        def drain(_worker: int) -> None:
+            while True:
+                with take:
+                    item = None if failures else next(pending, None)
+                if item is None:
+                    return
+                index, value = item
+                try:
+                    results[index] = fn(value)
+                except BaseException as exc:
+                    with take:
+                        failures[index] = exc
+                    return
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(drain, range(workers)))
+        if failures:
+            raise failures[min(failures)]
+        return results
+
     def complete(self, prompt_text: str) -> str:
         """Send one chat request with the prompt's text."""
         if not isinstance(prompt_text, str) or not prompt_text.strip():
@@ -550,7 +552,7 @@ class LlmClient:
         Vectors are kept for the life of the client, so the transport sees
         each distinct text once. The texts not yet seen are cut into up to
         ``max_parallel_requests`` contiguous batches of near-equal size, one
-        request each, fetched on as many threads; with a bound of one (every
+        request each, fetched through :meth:`map`: with a bound of one (every
         mock client) the one batch is fetched on the calling thread. Once a
         batch fails no new one starts, and the first failing batch's error
         is raised.
@@ -565,13 +567,7 @@ class LlmClient:
         workers = min(self.config.max_parallel_requests, len(unseen))
         # contiguous slices, so the lowest failing batch holds the first failing text
         ends = [len(unseen) * i // workers for i in range(1, workers + 1)]
-        batches = [unseen[start:end] for start, end in zip([0, *ends], ends)]
-        if workers <= 1:
-            for batch in batches:
-                self._fetch(batch)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                _in_order(pool, workers, self._fetch, batches)
+        self.map(self._fetch, [unseen[start:end] for start, end in zip([0, *ends], ends)])
         return [self._embeddings[text] for text in texts]
 
     def _fetch(self, texts: list[str]) -> None:
@@ -597,8 +593,9 @@ def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:
 
     The mock transport is pure Python in this process, so a second request in
     flight would only contend for the interpreter lock: a mock client allows
-    one at a time, whatever ``max_parallel_requests`` says. The live backend
-    keeps the configured bound.
+    one at a time, whatever ``max_parallel_requests`` says, and its
+    :meth:`LlmClient.map` runs on the calling thread. The live backend keeps
+    the configured bound, and maps on that many threads.
     """
     if backend == "mock":
         return LlmClient(

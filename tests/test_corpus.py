@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,31 @@ def test_units_under_a_non_unit_wrapper_continue_their_parents_numbering(tmp_pat
     ]
 
 
+def test_comments_and_processing_instructions_change_nothing_loaded(tmp_path):
+    # ET.parse drops both, so every element the walk meets has a string tag
+    marked = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<!-- before -->\n<?note before?>\n'
+        "<agreement><!-- meta --><meta><partyA>Ja<!-- split -->pan</partyA>"
+        "<?note party?><partyB>Thailand</partyB>"
+        "<sector><?note sector?>customs; agriculture<!-- sector --></sector></meta>"
+        "<chapter><?note chapter?><article>Japan <!-- inside -->reduces duties.<?note end?>"
+        "</article><!-- between --><article><!-- first -->Thailand grants access."
+        "</article></chapter></agreement>\n<!-- after -->\n<?note after?>\n"
+    )
+    plain = re.sub(r"<!--.*?-->|<\?note .*?\?>", "", marked)
+    for name, text in (("marked", marked), ("plain", plain)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "japan-thailand.xml").write_text(text, encoding="utf-8")
+    (doc,) = load_corpus(tmp_path / "marked").documents
+    assert load_corpus(tmp_path / "plain").documents == (doc,)
+    assert (doc.party_a, doc.party_b) == ("Japan", "Thailand")
+    assert doc.sectors == ("agriculture", "customs")
+    assert [(a.article_id, a.raw_text) for a in doc.articles] == [
+        ("chapter:001/article:001", "Japan reduces duties."),
+        ("chapter:001/article:002", "Thailand grants access."),
+    ]
+
+
 def test_unparseable_file_is_reported_not_fatal(corpus_with_errors_dir):
     index = load_corpus(corpus_with_errors_dir)
     assert [d.doc_id for d in index.documents] == ["canada-norway", "japan-thailand-2007"]
@@ -177,6 +203,16 @@ def test_missing_directory_raises_configuration_error(tmp_path):
 # ---------------------------------------------------------------------------
 # preprocessing
 # ---------------------------------------------------------------------------
+
+
+def test_removal_terms_are_built_once_per_config():
+    config = PreprocessConfig()
+    assert config.removal_terms is config.removal_terms
+    assert config.removal_terms == config.stopwords | config.domain_filler_terms
+    # the cached set is not a field: equality, hashing and replace ignore it
+    assert config == PreprocessConfig() and hash(config) == hash(PreprocessConfig())
+    narrowed = replace(config, stopwords=frozenset({"shall"}))
+    assert narrowed.removal_terms == {"shall"} | config.domain_filler_terms
 
 
 def test_preprocess_removes_stopwords_and_fillers():

@@ -23,7 +23,7 @@ import pytest
 from triplex import cli, llmclient
 from triplex.corpus import load_corpus
 from triplex.errors import ConfigurationError, TransportError
-from triplex.extraction import chunk_corpus, parse_triples, run_extraction
+from triplex.extraction import chunk_corpus, parse_triples, read_run, run_extraction
 from triplex.llmclient import (
     EMBEDDING_DIM,
     EMPTY_CASE_TOKEN,
@@ -32,7 +32,6 @@ from triplex.llmclient import (
     HttpTransport,
     LlmClient,
     MockTransport,
-    _in_order,
     make_client,
     mock_embedding,
 )
@@ -369,10 +368,14 @@ def _http_date(offset_s: float) -> str:
         (429, "soon", 0.25, 0.25),  # unparsable: the backoff step
         (429, "-1", 0.25, 0.25),
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0, 0.0),  # a date in the past
+        (429, "Wed, 21 Oct 2015 07:28:00 -0000", 0.0, 0.0),  # no zone given: UTC
         (429, 10.0, 5.0, 10.0),  # a number here: an HTTP-date that many seconds from now
         (408, 86_400.0, 30.0, 30.0),  # capped
     ],
-    ids=["seconds", "capped", "5xx", "unparsable", "negative", "past-date", "date", "far-date"],
+    ids=[
+        "seconds", "capped", "5xx", "unparsable", "negative", "past-date", "past-date-no-zone",
+        "date", "far-date",
+    ],
 )
 def test_http_retry_after_sets_the_wait_before_the_next_attempt(
     serve, status, retry_after, low, high
@@ -712,6 +715,48 @@ def test_live_extract_of_every_variant_shares_max_parallel_connections(serve, co
     assert server.connections <= 2
 
 
+def test_live_extract_exits_1_and_writes_the_run_when_a_chunk_runs_out_of_retries(
+    serve, config_file, capsys
+):
+    server = serve(Reply(500), *[ECHO] * 200)
+    config = config_file(
+        endpoint={"base_url": server.url, "max_parallel_requests": 2, "max_retries": 0}
+    )
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    argv = ["extract", "--config", str(config), "--variant", "zero-shot", "--backend", "live"]
+    assert cli.main(argv) == 1
+    run = read_run(config.parent / "out" / "runs" / "zero-shot.jsonl")
+    assert run.stats["chunks_failed"] == 1
+    assert run.stats["chunks_processed"] == len(server.requests) - 1 > 1
+    assert ", 1 failed)" in capsys.readouterr().out
+
+
+def test_live_extract_exits_1_naming_the_variant_whose_every_chunk_failed(
+    serve, config_file, capsys
+):
+    def fail_one_shot(payload: dict) -> Reply:
+        prompt = payload["messages"][0]["content"]
+        # one-shot's template gives an example, but not "more examples"
+        if "an example of the expected" in prompt and "more examples" not in prompt:
+            return Reply(500)
+        return ECHO(payload)
+
+    server = serve(*[fail_one_shot] * 2000)
+    config = config_file(
+        endpoint={"base_url": server.url, "max_parallel_requests": 2, "max_retries": 0}
+    )
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    capsys.readouterr()
+    argv = ["extract", "--config", str(config), "--variant", "all", "--backend", "live"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("one-shot: all ")
+    runs = config.parent / "out" / "runs"
+    assert sorted(path.name for path in runs.glob("*.jsonl")) == [
+        "few-shot.jsonl", "negative-examples.jsonl", "zero-shot.jsonl"
+    ]
+    assert all(read_run(path).stats["chunks_failed"] == 0 for path in runs.glob("*.jsonl"))
+
+
 def test_live_extract_and_eval_close_their_connections(serve, config_file, monkeypatch):
     chat = serve(*[ECHO] * 2000)
     embed = serve(*[EMBED] * 5000)
@@ -953,8 +998,8 @@ def test_parallel_in_order_returns_results_in_input_order():
             last_done.set()
         return item * 10
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        assert _in_order(pool, 4, fn, range(8)) == [item * 10 for item in range(8)]
+    client = LlmClient(EndpointConfig(max_parallel_requests=4), CountingTransport())
+    assert client.map(fn, range(8)) == [item * 10 for item in range(8)]
     assert finished[-1] == 0
 
 
@@ -971,9 +1016,9 @@ def test_parallel_in_order_takes_no_item_once_one_has_failed():
         time.sleep(0.05)  # item 0's failure is recorded by now
         return item
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        with pytest.raises(TransportError, match="^item 0$"):
-            _in_order(pool, 2, fn, range(10))
+    client = LlmClient(EndpointConfig(max_parallel_requests=2), CountingTransport())
+    with pytest.raises(TransportError, match="^item 0$"):
+        client.map(fn, range(10))
     assert taken[0] == 0
     assert set(taken) <= {0, 1}
 
@@ -983,9 +1028,9 @@ def test_parallel_in_order_raises_the_lowest_failing_items_error():
         time.sleep(0.05 if item == 0 else 0.0)  # item 1 fails first
         raise TransportError(f"item {item}")
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        with pytest.raises(TransportError, match="^item 0$"):
-            _in_order(pool, 2, fn, range(3))
+    client = LlmClient(EndpointConfig(max_parallel_requests=2), CountingTransport())
+    with pytest.raises(TransportError, match="^item 0$"):
+        client.map(fn, range(3))
 
 
 def test_live_eval_stops_embedding_once_a_text_fails(serve, config_file, capsys):
