@@ -485,9 +485,7 @@ class LlmClient:
     def __init__(self, config: EndpointConfig, transport: Transport) -> None:
         self.config = config
         self.transport = transport
-        n = config.max_parallel_requests
-        # a bound of one takes the cheaper Lock; both block a second holder until release
-        self._gate = threading.Lock() if n == 1 else threading.Semaphore(n)
+        self._gate = threading.Semaphore(config.max_parallel_requests)
         self._embeddings: dict[str, EmbeddingVector] = {}
         # the first vector's (length,), under one key: setdefault sets it once across threads
         self._shape: dict[str, tuple[int]] = {}
@@ -564,10 +562,12 @@ class LlmClient:
                 raise ValueError(f"embed text at index {i} is empty")
         # unlocked: a text two threads embed at once is fetched twice, harmlessly
         unseen = [text for text in dict.fromkeys(texts) if text not in self._embeddings]
-        workers = min(self.config.max_parallel_requests, len(unseen))
-        # contiguous slices, so the lowest failing batch holds the first failing text
-        ends = [len(unseen) * i // workers for i in range(1, workers + 1)]
-        self.map(self._fetch, [unseen[start:end] for start, end in zip([0, *ends], ends)])
+        bound = self.config.max_parallel_requests
+        # contiguous slices, so the lowest failing batch holds the first failing text;
+        # the empty ones are skipped, leaving min(bound, len(unseen)), one per thread of map
+        ends = [len(unseen) * i // bound for i in range(1, bound + 1)]
+        batches = [unseen[start:end] for start, end in zip([0, *ends], ends) if start < end]
+        self.map(self._fetch, batches)
         return [self._embeddings[text] for text in texts]
 
     def _fetch(self, texts: list[str]) -> None:
