@@ -17,6 +17,7 @@ from .config import PipelineConfig, load_config
 from .corpus import load_corpus, preprocess_index, read_corpus_jsonl, write_corpus_jsonl
 from .errors import ConfigurationError, ExtractionError, TriplexError
 from .evaluation import (
+    CodeTable,
     EvalReport,
     MatchConfig,
     MatchMode,
@@ -100,8 +101,8 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
 
 
 def _load_runs(config: PipelineConfig) -> dict[str, object]:
-    """Every run under ``runs/`` by variant: one file per variant, all from one endpoint."""
-    runs, paths, endpoints = {}, {}, {}
+    """Every run under ``runs/`` by variant: one file per variant, one endpoint, one chunk total."""
+    runs, paths, endpoints, chunk_totals = {}, {}, {}, {}
     if config.runs_dir.is_dir():
         for path in sorted(config.runs_dir.glob("*.jsonl")):
             run = read_run(path)
@@ -111,14 +112,17 @@ def _load_runs(config: PipelineConfig) -> dict[str, object]:
             runs[name], paths[name] = run, path
             if run.endpoint_fingerprint:  # a run without a sidecar has none
                 endpoints.setdefault(run.endpoint_fingerprint, name)
+                total = run.stats["chunks_processed"] + run.stats["chunks_failed"]
+                chunk_totals.setdefault(total, f"{name} ({total} chunks)")
     if not runs:
         raise ConfigurationError(f"no runs found under {config.runs_dir}; run extract first")
-    if len(endpoints) > 1:
-        first, second = list(endpoints.values())[:2]
-        raise ConfigurationError(
-            f"runs {first} and {second} come from different endpoint settings; "
-            "extract them again with one config"
-        )
+    for kinds, seen in (("endpoint settings", endpoints), ("corpora", chunk_totals)):
+        if len(seen) > 1:
+            first, second = list(seen.values())[:2]
+            raise ConfigurationError(
+                f"runs {first} and {second} come from different {kinds}; "
+                "extract them again with one config"
+            )
     return runs
 
 
@@ -126,6 +130,8 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
     runs = _load_runs(config)
     gold = load_gold(config.eval.gold_path)
     gold_dist = predicate_distribution(gold.triples)
+    # one code per field string of the gold set and every run, one embed call for them all
+    table = CodeTable(gold.triples, (run.triples for run in runs.values()))
     header = {
         "gold_size": len(gold),
         "gold_annotator": gold.annotator,
@@ -141,7 +147,7 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
     variants = {}
     with make_client(config.endpoint, backend) as client:
         for name in sorted(runs):
-            run = runs[name]
+            triples = table.view(runs[name].triples)  # frees the previous run's arrays
             modes = {}
             for mode in MatchMode:
                 match_config = MatchConfig(
@@ -150,12 +156,12 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
                     assignment=config.eval.assignment,
                 )
                 result = match(
-                    run.triples,
-                    gold.triples,
+                    triples,
+                    table.gold,
                     match_config,
                     embedder=client if mode is MatchMode.SEMANTIC else None,
                 )
-                metrics = metrics_from(result, len(run.triples), len(gold))
+                metrics = metrics_from(result, len(triples), len(gold))
                 modes[mode.value] = ModeScores(
                     *(round(score, 6) for score in astuple(metrics)),
                     pairs=len(result.pairs),
@@ -164,21 +170,21 @@ def cmd_eval(config: PipelineConfig, backend: str) -> int:
                     semantic_threshold=config.eval.semantic_threshold,
                     assignment=config.eval.assignment.value,
                 )
-            dist = predicate_distribution(run.triples)
+            dist = predicate_distribution(triples)
             variants[name] = VariantScores(
                 **modes,
                 redundancy=(
                     round(
-                        redundancy_score(run.triples, client, config.eval.redundancy_threshold), 6
+                        redundancy_score(triples, client, config.eval.redundancy_threshold), 6
                     )
-                    if run.triples
+                    if triples
                     else 0.0
                 ),
                 jsd_to_gold=(
                     round(distribution_divergence(dist, gold_dist), 6) if dist.total else 1.0
                 ),
-                coverage=round(coverage_score(run.triples, gold.triples), 6),
-                n_predicted=len(run.triples),
+                coverage=round(coverage_score(triples, table.gold), 6),
+                n_predicted=len(triples),
             )
     write_json(config.eval_report_path, asdict(EvalReport(header, variants)))
     print(f"wrote {config.eval_report_path} ({len(runs)} variants, 3 match modes)")
@@ -197,6 +203,12 @@ def cmd_report(config: PipelineConfig) -> int:
             f"eval report {config.eval_report_path} scores {', '.join(sorted(table_results))}"
             f" but the runs hold {', '.join(sorted(runs))}; run eval again"
         )
+    for name, run in runs.items():
+        if len(run.triples) != scores.variants[name].n_predicted:
+            raise ConfigurationError(
+                f"eval report {config.eval_report_path} scores {scores.variants[name].n_predicted}"
+                f" {name} triples but the run holds {len(run.triples)}; run eval again"
+            )
     distributions = {
         name: predicate_distribution(run.triples) for name, run in runs.items()
     }

@@ -187,6 +187,53 @@ class EvalReport:
     variants: dict[str, VariantScores]
 
 
+def _field_strings(triples: Iterable) -> Iterable[str]:
+    return itertools.chain.from_iterable(map(_fields, triples))
+
+
+class CodeTable:
+    """An eval's distinct field strings, one integer code each, the gold set's first.
+
+    :attr:`gold` and :meth:`view` carry their triples' ``(n, 3)`` codes. Semantic
+    edges read one cosine matrix of every string against the gold strings,
+    embedded in one call at the first semantic match.
+    """
+
+    def __init__(self, gold: Sequence, runs: Iterable[Sequence]) -> None:
+        strings = dict.fromkeys(_field_strings(gold))
+        self.n_gold_strings = len(strings)  # the gold strings' codes are below it
+        strings.update(dict.fromkeys(_field_strings(itertools.chain.from_iterable(runs))))
+        self._code = {text: i for i, text in enumerate(strings)}
+        self._cosine: np.ndarray | None = None
+        self.gold = self.view(gold)
+
+    def view(self, triples: Sequence) -> "CodedTriples":
+        """``triples``, whose every field the table holds, with their codes."""
+        view = CodedTriples(triples)
+        codes = map(self._code.__getitem__, _field_strings(view))
+        view.table, view.codes = self, np.fromiter(codes, np.intp, 3 * len(view)).reshape(-1, 3)
+        return view
+
+    def cosine(self, embedder: Embedder) -> np.ndarray:
+        """``(strings, gold strings)`` cosines, clipped to [-1, 1]; equal codes score 1.0."""
+        if self._cosine is None:
+            vectors = np.array([v.values for v in embedder.embed([*self._code])])
+            # einsum sums in numpy's own loop on this thread: a BLAS product hands the
+            # work to OpenBLAS threads, whose spinning slows the rest of the process
+            self._cosine = np.einsum("ik,jk->ij", vectors, vectors[: self.n_gold_strings])
+            np.clip(self._cosine, -1.0, 1.0, out=self._cosine)
+            np.fill_diagonal(self._cosine, 1.0)  # each gold string against itself
+        return self._cosine
+
+
+class CodedTriples(tuple):
+    """Triples with their field codes in a :class:`CodeTable`."""
+
+    table: CodeTable
+    codes: np.ndarray
+    agreements: np.ndarray | None = None  # per (triple, gold triple), the equal fields
+
+
 def _eligible_edges(
     predicted: Sequence,
     gold: Sequence,
@@ -197,28 +244,25 @@ def _eligible_edges(
         raise ConfigurationError("semantic matching requires an embedder")
     if not predicted or not gold:
         return []
-    # each field string coded by its place among the sorted unique strings
-    strings = sorted({f for t in (*predicted, *gold) for f in _fields(t)})
-    code = {s: i for i, s in enumerate(strings)}
-    pc = np.array([[code[f] for f in _fields(t)] for t in predicted])
-    gc = np.array([[code[f] for f in _fields(t)] for t in gold])
+    if not (isinstance(predicted, CodedTriples) and gold is predicted.table.gold):
+        table = CodeTable(gold, [predicted])
+        predicted, gold = table.view(predicted), table.gold
+    pc, gc = predicted.codes, gold.codes
     if config.mode is not MatchMode.SEMANTIC:
+        if predicted.agreements is None:  # counted once for the exact and the partial match
+            predicted.agreements = np.zeros((len(pc), len(gc)), dtype=np.uint8)
+            for k in range(3):
+                predicted.agreements += pc[:, k, None] == gc[:, k]
         required = 3 if config.mode is MatchMode.EXACT else 2
-        agreements = (pc[:, None, :] == gc[None, :, :]).sum(axis=2)
-        rows, cols = np.nonzero(agreements >= required)
-        return [(int(pi), int(gi), 1.0) for pi, gi in zip(rows, cols)]
-    vectors = np.array([v.values for v in embedder.embed(strings)])
+        rows, cols = np.nonzero(predicted.agreements >= required)
+        return list(zip(rows.tolist(), cols.tolist(), itertools.repeat(1.0)))
+    cosine = predicted.table.cosine(embedder)
     scores = np.zeros((len(pc), len(gc)))
     for k in range(3):
-        # one cosine per distinct pair of strings, so equal pairs score equal
-        pu, p_at = np.unique(pc[:, k], return_inverse=True)
-        gu, g_at = np.unique(gc[:, k], return_inverse=True)
-        cosine = np.clip(vectors[pu] @ vectors[gu].T, -1.0, 1.0)
-        cosine[pu[:, None] == gu] = 1.0
-        scores += cosine[np.ix_(p_at, g_at)]
+        scores += cosine[pc[:, k, None], gc[:, k]]
     scores /= 3.0
     rows, cols = np.nonzero(scores >= config.semantic_threshold)
-    return [(int(pi), int(gi), float(scores[pi, gi])) for pi, gi in zip(rows, cols)]
+    return list(zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()))
 
 
 def _greedy_assignment(

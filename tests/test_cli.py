@@ -18,6 +18,7 @@ from regen_golden import quickstart_manifest, run_all, run_all_eval_report, run_
 from triplex import cli, extraction
 from triplex.cli import main
 from triplex.corpus import chunk_document, read_corpus_jsonl
+from triplex.llmclient import MockTransport
 from triplex.prompting import PromptVariant
 
 
@@ -623,6 +624,29 @@ def test_runs_from_two_endpoint_settings_are_not_scored_together(config_file, ca
     assert main(["eval", "--config", str(config)]) == 0
 
 
+def test_runs_from_two_corpora_are_not_scored_together(config_file, capsys):
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config)]) == 0
+    # the same output directory, a smaller corpus: zero-shot's run is replaced alone
+    config_file(corpus={"source_dir": str(Path(__file__).parents[1] / "demos" / "data")})
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    runs = out_dir_of(config) / "runs"
+    totals = {}
+    for name in ("few-shot", "zero-shot"):
+        stats = json.loads((runs / f"{name}.stats.json").read_text(encoding="utf-8"))["stats"]
+        totals[name] = stats["chunks_processed"] + stats["chunks_failed"]
+    assert totals["few-shot"] != totals["zero-shot"]
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    assert (
+        f"runs few-shot ({totals['few-shot']} chunks) and zero-shot ({totals['zero-shot']} chunks)"
+        " come from different corpora" in capsys.readouterr().err
+    )
+    assert not (out_dir_of(config) / "eval_report.json").exists()
+
+
 def test_run_record_with_an_undeclared_key_is_fatal_and_names_file_and_line(
     config_file, capsys
 ):
@@ -904,6 +928,64 @@ def test_report_refuses_an_eval_report_of_other_variants(config_file, capsys):
     assert "run eval again" in capsys.readouterr().err
     assert main(["eval", "--config", str(config)]) == 0
     assert main(["report", "--config", str(config)]) == 0
+
+
+def test_report_refuses_an_eval_report_of_other_runs(config_file, capsys):
+    config = config_file()
+    for command in (["ingest"], ["extract"], ["eval"]):
+        assert main(command + ["--config", str(config)]) == 0
+    report_path = out_dir_of(config) / "eval_report.json"
+    scored = json.loads(report_path.read_text(encoding="utf-8"))["variants"]["few-shot"]
+    # the same variants, extracted again from a smaller corpus after eval
+    config_file(corpus={"limit": 2})
+    for command in (["ingest"], ["extract"]):
+        assert main(command + ["--config", str(config)]) == 0
+    run = out_dir_of(config) / "runs" / "few-shot.jsonl"
+    holds = len(run.read_text(encoding="utf-8").splitlines())
+    assert holds != scored["n_predicted"]
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    assert (
+        f"eval report {report_path} scores {scored['n_predicted']} few-shot triples"
+        f" but the run holds {holds}; run eval again" in capsys.readouterr().err
+    )
+    assert not (out_dir_of(config) / "report").exists()
+    assert main(["eval", "--config", str(config)]) == 0
+    assert main(["report", "--config", str(config)]) == 0
+
+
+def test_eval_embeds_every_field_string_in_one_transport_call(config_file, monkeypatch):
+    config = config_file()
+    for command in (["ingest"], ["extract"]):
+        assert main(command + ["--config", str(config)]) == 0
+    calls = []
+    embed = MockTransport.embed
+
+    def counted(self, texts):
+        calls.append(len(texts))
+        return embed(self, texts)
+
+    monkeypatch.setattr(MockTransport, "embed", counted)
+    assert main(["eval", "--config", str(config)]) == 0
+    assert len(calls) == 1, calls
+
+
+def test_eval_scores_a_run_without_triples(config_file):
+    config = config_file()
+    for command in (["ingest"], ["extract", "--variant", "zero-shot"], ["eval"]):
+        assert main(command + ["--config", str(config)]) == 0
+    report_path = out_dir_of(config) / "eval_report.json"
+    alone = json.loads(report_path.read_text(encoding="utf-8"))["variants"]["zero-shot"]
+    # a run file with no records and no sidecar: one-shot, by its file name
+    (out_dir_of(config) / "runs" / "one-shot.jsonl").write_text("", encoding="utf-8")
+    assert main(["eval", "--config", str(config)]) == 0
+    variants = json.loads(report_path.read_text(encoding="utf-8"))["variants"]
+    empty = variants["one-shot"]
+    assert [empty[mode]["pairs"] for mode in ("exact", "partial", "semantic")] == [0, 0, 0]
+    assert (empty["redundancy"], empty["jsd_to_gold"], empty["coverage"]) == (0.0, 1.0, 0.0)
+    assert empty["n_predicted"] == 0
+    # scoring the empty run beside it leaves the other run's scores as they were
+    assert variants["zero-shot"] == alone
 
 
 def test_sample_never_replaces_a_different_sheet(config_file, capsys):

@@ -18,6 +18,7 @@ from triplex.errors import ConfigurationError
 from triplex.evaluation import (
     ANNOTATION_METRICS,
     AssignmentPolicy,
+    CodeTable,
     MatchConfig,
     MatchMode,
     MatchResult,
@@ -223,6 +224,37 @@ def test_eligible_edges_equal_the_oracle(mode, threshold, mock_client):
         assert [(pi, gi) for pi, gi, _ in edges] == [(pi, gi) for pi, gi, _ in expected]
         for (_, _, score), (_, _, want) in zip(edges, expected):
             assert abs(score - want) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_table_scores_every_list_as_the_oracle_does(seed, mock_client):
+    # several predicted lists over the vocabulary of _edge_instances, so strings repeat
+    # across lists, coded and embedded once against one gold set
+    rng = random.Random(seed)
+    instances = [random_instance(rng, max_gold=40, max_predicted=120) for _ in range(5)]
+    gold = instances[0][1]
+    lists = [predicted for predicted, _ in instances]
+    table = CodeTable(gold, lists)
+    for predicted in lists:
+        view = table.view(predicted)
+        for mode, threshold in (
+            (MatchMode.EXACT, 0.75),
+            (MatchMode.PARTIAL, 0.75),
+            (MatchMode.SEMANTIC, 0.5),
+            (MatchMode.SEMANTIC, 0.9),
+        ):
+            config = MatchConfig(mode=mode, semantic_threshold=threshold)
+            edges = _eligible_edges(view, table.gold, config, mock_client)
+            expected = eligible_edges_oracle(
+                predicted, gold, mode, threshold=threshold, embedder=mock_client
+            )
+            assert [(pi, gi) for pi, gi, _ in edges] == [(pi, gi) for pi, gi, _ in expected]
+            for (_, _, score), (_, _, want) in zip(edges, expected):
+                assert abs(score - want) <= 1e-12
+            # plain lists get a table of their own, and the same matching
+            assert match(view, table.gold, config, mock_client) == match(
+                predicted, gold, config, mock_client
+            )
 
 
 # ---------------------------------------------------------------------------
