@@ -32,7 +32,7 @@ from .evaluation import (
     sample_for_annotation,
     write_annotation_csv,
 )
-from .extraction import chunk_corpus, read_run, run_extraction, write_run
+from .extraction import ExtractionRun, chunk_corpus, read_run, run_extraction, write_run
 from .gold import load_gold
 from .llmclient import make_client
 from .prompting import PromptTemplates, PromptVariant, load_example_bank
@@ -74,6 +74,7 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
     worst = EXIT_OK
     with make_client(config.endpoint, backend) as client:
         for variant in _variants(variant_name):
+            path = config.runs_dir / f"{variant.value}.jsonl"
             try:
                 run = run_extraction(
                     chunks,
@@ -85,9 +86,13 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
                 )
             except ExtractionError as exc:
                 print(f"{variant.value}: {exc}", file=sys.stderr)
+                # an older run left in place would be scored as this variant's
+                for stale in (path, path.with_suffix(".stats.json")):
+                    if stale.exists():
+                        stale.unlink()
+                        print(f"{variant.value}: removed the older {stale}", file=sys.stderr)
                 worst = max(worst, EXIT_PARTIAL)
                 continue
-            path = config.runs_dir / f"{variant.value}.jsonl"
             write_run(run, path)
             print(
                 f"wrote {path} ({len(run.triples)} triples, "
@@ -100,7 +105,7 @@ def cmd_extract(config: PipelineConfig, variant_name: str, backend: str) -> int:
     return worst
 
 
-def _load_runs(config: PipelineConfig) -> dict[str, object]:
+def _load_runs(config: PipelineConfig) -> dict[str, ExtractionRun]:
     """Every run under ``runs/`` by variant: one file per variant, one endpoint, one chunk total."""
     runs, paths, endpoints, chunk_totals = {}, {}, {}, {}
     if config.runs_dir.is_dir():

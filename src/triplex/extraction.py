@@ -11,9 +11,11 @@ from __future__ import annotations
 import functools
 import re
 import typing
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import groupby
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -108,7 +110,7 @@ _FAILED_CHUNK = tuple(int(key == "chunks_failed") for key in _CHUNK_COUNTS)
 
 
 def _empty_stats() -> dict[str, int]:
-    # dedupe_and_cap's two counts are the run's, set once every chunk is in
+    # dedupe_and_cap's two counts follow the chunks', summed over the run's documents
     return dict.fromkeys((*_CHUNK_COUNTS, "duplicates_removed", "capped_count"), 0)
 
 
@@ -282,12 +284,12 @@ def run_extraction(
     """Extract triples from every chunk of :func:`chunk_corpus` with one variant.
 
     The prompt's fixed part is rendered once; each chunk only fills in
-    ``{{chunk}}``. Chunks go through :meth:`LlmClient.map`, one at a time to
-    as many worker threads as the client allows requests in flight
-    (``max_parallel_requests`` for a live endpoint); with one (every mock
-    client) they run on the calling thread. Chunks are taken, and merged, in
-    the order given, so repeated runs produce identical output whatever the
-    worker count. A chunk whose request ultimately fails is recorded in the
+    ``{{chunk}}``. Chunks go through :meth:`LlmClient.map` (on the calling
+    thread for every mock client) and merge in the order given, so repeated
+    runs produce identical output whatever the worker count. A document's
+    chunks must come together, as :func:`chunk_corpus` gives them: its triples
+    are deduped and capped once its last chunk is in, so one document's are
+    held at a time. A chunk whose request ultimately fails is recorded in the
     stats and skipped; the run only fails when every chunk does. Any other
     error stops the run: no worker takes a new chunk after it, and the error
     raised is that of the first failing chunk in that order.
@@ -336,17 +338,27 @@ def run_extraction(
             flagged, refined_count, refine_failures, complex_predicates,
         )
 
-    chunk_triples, chunk_counts = zip(*client.map(process, chunks))
-    stats.update(zip(_CHUNK_COUNTS, map(sum, zip(*chunk_counts))))
-    collected = [triple for triples in chunk_triples for triple in triples]
+    totals = [0] * len(_CHUNK_COUNTS)
+    finished: set[str] = set()
+    # closed on any error, so no worker takes another chunk while a traceback holds the map
+    with closing(client.map(process, chunks)) as results:
+        for doc_id, group in groupby(zip(map(itemgetter(0), chunks), results), key=itemgetter(0)):
+            if doc_id in finished:
+                raise ValueError(f"chunks of document {doc_id!r} come after another document's")
+            finished.add(doc_id)
+            doc_triples: list[Triple] = []
+            for _, (triples, counts) in group:
+                doc_triples += triples
+                totals = [*map(add, totals, counts)]
+            kept, duplicates, capped = dedupe_and_cap(doc_triples, cap)
+            run.triples += kept
+            stats["duplicates_removed"] += duplicates
+            stats["capped_count"] += capped
+    stats.update(zip(_CHUNK_COUNTS, totals))
     if stats["chunks_failed"] == len(chunks):
         raise ExtractionError(
             f"all {len(chunks)} chunks failed; last resort is checking the endpoint"
         )
-    kept, duplicates, capped = dedupe_and_cap(collected, cap)
-    stats["duplicates_removed"] = duplicates
-    stats["capped_count"] = capped
-    run.triples = kept
     return run
 
 

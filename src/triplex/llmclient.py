@@ -500,42 +500,50 @@ class LlmClient:
         """Close the transport's connections; call it with no request in flight."""
         self.transport.close()
 
-    def map(self, fn: Callable, items: Sequence) -> list:
+    def map(self, fn: Callable, items: Sequence) -> Iterator:
         """``fn`` of each item, in input order, on as many threads as requests may be in flight.
 
-        That is ``min(max_parallel_requests, len(items))`` threads, each taking
-        the next item; with at most one, the calling thread runs every item.
-        After an item fails no thread takes another, and the error raised is
-        that of the lowest failing index, as a serial loop's would be: every
-        item before it was taken, and has finished.
+        That is ``min(max_parallel_requests, len(items))`` threads, each taking the next item. A
+        result is yielded once it and every earlier item are done; with one thread, once asked
+        for. After a failure no thread takes another, nor once the iterator closes, which joins
+        them; the error raised is the lowest failing index's, after every earlier result.
         """
         workers = min(self.config.max_parallel_requests, len(items))
         if workers <= 1:
-            return [fn(item) for item in items]
+            yield from map(fn, items)  # the builtin: a method's name is not in its own scope
+            return
         pending = iter(enumerate(items))
-        take = threading.Lock()
-        results: list = [None] * len(items)
-        failures: dict[int, BaseException] = {}
+        done = threading.Condition()
+        outcomes: dict[int, tuple] = {}  # index -> (result, error), until it is yielded
+        stop = False  # set by a failure, or when the iterator closes
+
+        def take() -> tuple[int, object] | None:
+            with done:
+                return None if stop else next(pending, None)
 
         def drain(_worker: int) -> None:
-            while True:
-                with take:
-                    item = None if failures else next(pending, None)
-                if item is None:
-                    return
-                index, value = item
+            nonlocal stop
+            for index, value in iter(take, None):
                 try:
-                    results[index] = fn(value)
+                    outcome = fn(value), None
                 except BaseException as exc:
-                    with take:
-                        failures[index] = exc
-                    return
+                    outcome, stop = (None, exc), True
+                with done:
+                    outcomes[index] = outcome
+                    done.notify()
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(drain, range(workers)))
-        if failures:
-            raise failures[min(failures)]
-        return results
+            joined = pool.map(drain, range(workers))
+            try:
+                for index in range(len(items)):
+                    with done:  # a non-empty tuple is true, so this waits for the item's outcome
+                        result, error = done.wait_for(lambda: outcomes.pop(index, None))
+                    if error is not None:
+                        raise error
+                    yield result  # never while holding the condition
+            finally:
+                stop = True
+                list(joined)
 
     def complete(self, prompt_text: str) -> str:
         """Send one chat request with the prompt's text."""
@@ -567,7 +575,7 @@ class LlmClient:
         # the empty ones are skipped, leaving min(bound, len(unseen)), one per thread of map
         ends = [len(unseen) * i // bound for i in range(1, bound + 1)]
         batches = [unseen[start:end] for start, end in zip([0, *ends], ends) if start < end]
-        self.map(self._fetch, batches)
+        list(self.map(self._fetch, batches))  # _fetch keeps the vectors; draining runs each batch
         return [self._embeddings[text] for text in texts]
 
     def _fetch(self, texts: list[str]) -> None:

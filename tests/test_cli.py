@@ -58,6 +58,15 @@ def test_missing_corpus_dir_is_fatal_and_names_the_path(config_file, tmp_path, c
     assert str(missing) in capsys.readouterr().err
 
 
+def test_config_without_a_corpus_dir_is_fatal(config_file, capsys):
+    config = config_file()
+    settings = json.loads(config.read_text(encoding="utf-8"))
+    del settings["corpus"]["source_dir"]
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: config lacks corpus.source_dir\n"
+
+
 def test_unknown_variant_is_rejected_listing_choices(config_file, capsys):
     config = config_file()
     with pytest.raises(SystemExit) as excinfo:
@@ -833,6 +842,19 @@ def test_ingest_with_unparseable_file_partially_succeeds(
     assert "2 documents, 1 load errors" in captured.out
     assert "truncated.xml" in captured.err
     assert (out_dir_of(config) / "corpus.jsonl").is_file()
+
+
+def test_ingest_of_an_agreement_that_cannot_be_read_exits_1_naming_a_read_error(
+    config_file, corpus_dir, tmp_path, capsys
+):
+    source = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, source)
+    (source / "unreadable.xml").mkdir()  # fails to open even as root, where mode 000 still reads
+    config = config_file(corpus={"source_dir": str(source)})
+    assert main(["ingest", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "3 documents, 1 load errors" in captured.out
+    assert captured.err.startswith("  skipped unreadable.xml: read error: ")
 
 
 # ---------------------------------------------------------------------------

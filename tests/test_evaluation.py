@@ -22,6 +22,7 @@ from triplex.evaluation import (
     MatchConfig,
     MatchMode,
     MatchResult,
+    PredicateDistribution,
     _eligible_edges,
     _maximum_matching,
     coverage_score,
@@ -383,6 +384,8 @@ def test_predicate_distribution_counts():
     dist = predicate_distribution([T("a", "signed", "b"), T("c", "signed", "d"), T("e", "grants", "f")])
     assert dist.counts == {"signed": 2, "grants": 1}
     assert dist.total == 3
+    with pytest.raises(ValueError, match="^distribution total does not match counts$"):
+        PredicateDistribution(counts={"signed": 2, "grants": 1}, total=4)
 
 
 def test_divergence_hand_computed_values():

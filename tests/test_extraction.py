@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplex import extraction
 from triplex.corpus import (
     AgreementDocument,
     ArticleUnit,
     CorpusIndex,
+    PreprocessConfig,
     chunk_document,
     load_corpus,
 )
@@ -356,6 +362,30 @@ def test_default_cap_value():
     assert DEFAULT_TRIPLE_CAP == 1000
 
 
+_DEDUPE_ROWS = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(0, 3), *[st.sampled_from("xyz")] * 3),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=_DEDUPE_ROWS, cap=st.integers(1, 5))
+def test_one_dedupe_and_cap_per_document_keeps_what_one_call_over_the_run_keeps(rows, cap):
+    # in chunk_corpus order: by document, then chunk, each chunk's lines in reply order
+    triples = [
+        make_triple(s, p, o, doc=doc)._replace(chunk_index=chunk)
+        for doc, chunk, s, p, o in sorted(rows, key=lambda row: row[:2])
+    ]
+    per_doc = [
+        dedupe_and_cap([*doc_triples], cap)
+        for _, doc_triples in groupby(triples, key=attrgetter("doc_id"))
+    ]
+    kept = [triple for doc_kept, _, _ in per_doc for triple in doc_kept]
+    duplicates = sum(doc_duplicates for _, doc_duplicates, _ in per_doc)
+    capped = sum(doc_capped for _, _, doc_capped in per_doc)
+    assert (kept, duplicates, capped) == dedupe_and_cap(triples, cap)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
@@ -667,6 +697,87 @@ def test_many_workers_take_each_chunk_exactly_once(bank, small_chunks_config):
     assert sent == sorted(texts)
     assert run.stats["chunks_processed"] == len(texts)
     assert len(run.triples) == len(texts)
+
+
+def test_run_extraction_dedupes_each_document_in_a_call_of_its_own(
+    monkeypatch, bank, small_chunks_config, corpus_dir
+):
+    calls: list[set[str]] = []
+
+    def recording(triples, cap=DEFAULT_TRIPLE_CAP):
+        calls.append({triple.doc_id for triple in triples})
+        return dedupe_and_cap(triples, cap)
+
+    monkeypatch.setattr(extraction, "dedupe_and_cap", recording)
+    chunks = chunk_corpus(load_corpus(corpus_dir), small_chunks_config)
+    client = make_client(EndpointConfig(seed=7), "mock")
+    run = run_extraction(chunks, PromptVariant.FEW_SHOT, bank, client)
+    documents = sorted({doc_id for doc_id, *_ in chunks})
+    assert len(documents) > 1
+    assert calls == [{doc_id} for doc_id in documents]
+    assert run.stats["duplicates_removed"] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_extraction_refuses_a_document_whose_chunks_come_after_another_documents(
+    bank, workers
+):
+    chunks = [
+        ("doc-a", "article:001", 0, "Japan exports cars."),
+        ("doc-b", "article:001", 0, "Chile exports wine."),
+        ("doc-a", "article:001", 1, "Japan imports wine."),
+        *(("doc-c", "article:001", i, f"Peru exports {i} tons of copper.") for i in range(200)),
+    ]
+    client = scripted_client("(Japan | exports | cars)", max_parallel=workers)
+    with pytest.raises(ValueError, match="^chunks of document 'doc-a' come after another"):
+        run_extraction(chunks, PromptVariant.ZERO_SHOT, bank, client)
+    sent = len(client.transport.prompts)
+    if workers == 1:
+        assert sent == 3  # on the calling thread, no chunk is sent before its turn
+    time.sleep(0.05)
+    assert len(client.transport.prompts) == sent  # every worker stopped before the error left
+
+
+def _agreement(i: int, articles: int) -> AgreementDocument:
+    party, other = ("Japan", "Chile", "Canada", "Norway")[i % 4], ("Peru", "Mexico")[i % 2]
+    texts = [
+        f"{party} shall eliminate Customs Duties on goods of {other} under Schedule {i} Part {k}."
+        for k in range(articles)
+    ]
+    return AgreementDocument(
+        doc_id=f"doc-{i:03d}",
+        party_a=party,
+        party_b=other,
+        sectors=(),
+        articles=tuple(
+            ArticleUnit(article_id=f"article:{k:03d}", raw_text=text, clean_text=text)
+            for k, text in enumerate(texts)
+        ),
+    )
+
+
+def test_run_extraction_peaks_little_above_the_run_it_returns(bank):
+    corpus = CorpusIndex(documents=tuple(_agreement(i, 8) for i in range(60)))
+    chunks = chunk_corpus(corpus, PreprocessConfig(max_chunk_chars=200))
+    client = make_client(EndpointConfig(seed=7), "mock")
+    run_extraction(chunks, PromptVariant.FEW_SHOT, bank, client)  # fills normalize_field's memo
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        run = run_extraction(chunks, PromptVariant.FEW_SHOT, bank, client)
+        _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert run.stats["duplicates_removed"] > 0
+    # holding every chunk's result and one key set over the whole run peaks about 2.6 times
+    # above what the run holds; one document's dedupe state, about 0.2 times
+    assert peak - held < (held - before) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -757,6 +757,29 @@ def test_live_extract_exits_1_naming_the_variant_whose_every_chunk_failed(
     assert all(read_run(path).stats["chunks_failed"] == 0 for path in runs.glob("*.jsonl"))
 
 
+def test_extract_whose_every_chunk_fails_removes_the_variants_older_run(
+    serve, config_file, capsys
+):
+    server = serve(*[Reply(500)] * 2000)
+    config = config_file(
+        endpoint={"base_url": server.url, "max_parallel_requests": 2, "max_retries": 0}
+    )
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    argv = ["extract", "--config", str(config), "--variant", "zero-shot"]
+    assert cli.main(argv) == 0
+    runs = config.parent / "out" / "runs"
+    assert sorted(path.name for path in runs.iterdir()) == [
+        "zero-shot.jsonl", "zero-shot.stats.json"
+    ]
+    capsys.readouterr()
+    assert cli.main([*argv, "--backend", "live"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zero-shot: all ")
+    assert f"zero-shot: removed the older {runs / 'zero-shot.jsonl'}\n" in err
+    assert f"zero-shot: removed the older {runs / 'zero-shot.stats.json'}\n" in err
+    assert [*runs.iterdir()] == []
+
+
 def test_live_extract_and_eval_close_their_connections(serve, config_file, monkeypatch):
     chat = serve(*[ECHO] * 2000)
     embed = serve(*[EMBED] * 5000)
@@ -999,7 +1022,7 @@ def test_parallel_in_order_returns_results_in_input_order():
         return item * 10
 
     client = LlmClient(EndpointConfig(max_parallel_requests=4), CountingTransport())
-    assert client.map(fn, range(8)) == [item * 10 for item in range(8)]
+    assert list(client.map(fn, range(8))) == [item * 10 for item in range(8)]
     assert finished[-1] == 0
 
 
@@ -1018,7 +1041,7 @@ def test_parallel_in_order_takes_no_item_once_one_has_failed():
 
     client = LlmClient(EndpointConfig(max_parallel_requests=2), CountingTransport())
     with pytest.raises(TransportError, match="^item 0$"):
-        client.map(fn, range(10))
+        list(client.map(fn, range(10)))
     assert taken[0] == 0
     assert set(taken) <= {0, 1}
 
@@ -1030,7 +1053,87 @@ def test_parallel_in_order_raises_the_lowest_failing_items_error():
 
     client = LlmClient(EndpointConfig(max_parallel_requests=2), CountingTransport())
     with pytest.raises(TransportError, match="^item 0$"):
-        client.map(fn, range(3))
+        list(client.map(fn, range(3)))
+
+
+def test_map_on_the_calling_thread_takes_an_item_only_when_its_result_is_asked_for():
+    taken: list[int] = []
+
+    def fn(item: int) -> int:
+        taken.append(item)
+        return item * 10
+
+    client = LlmClient(EndpointConfig(max_parallel_requests=1), CountingTransport())
+    results = client.map(fn, range(3))
+    assert taken == []
+    assert next(results) == 0
+    assert taken == [0]
+    assert next(results) == 10
+    assert taken == [0, 1]
+    results.close()
+    assert taken == [0, 1]
+
+
+def test_threaded_map_yields_a_result_while_a_later_item_still_runs():
+    release = threading.Event()
+    finished: list[int] = []
+
+    def fn(item: int) -> int:
+        if item == 1:
+            release.wait(timeout=5)
+        finished.append(item)
+        return item
+
+    client = LlmClient(EndpointConfig(max_parallel_requests=2), CountingTransport())
+    results = client.map(fn, range(3))
+    try:
+        assert next(results) == 0
+        assert 1 not in finished
+    finally:
+        release.set()
+    assert list(results) == [1, 2]
+
+
+def test_closing_a_threaded_map_takes_no_further_item_and_joins_its_workers():
+    taken: list[int] = []
+    workers: set[threading.Thread] = set()
+    gate = threading.Event()
+
+    def fn(item: int) -> int:
+        taken.append(item)
+        workers.add(threading.current_thread())
+        if item in (1, 2):
+            gate.wait(timeout=5)  # in flight when the iterator closes; any later item is quick
+        return item
+
+    client = LlmClient(EndpointConfig(max_parallel_requests=2), CountingTransport())
+    results = client.map(fn, range(100))
+    assert next(results) == 0
+    opener = threading.Timer(0.2, gate.set)
+    opener.start()
+    try:
+        results.close()
+    finally:
+        opener.join(timeout=5)
+    assert set(taken) <= {0, 1, 2}
+    assert len(workers) == 2
+    assert not any(worker.is_alive() for worker in workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_yields_every_result_before_the_lowest_failing_items_error(workers):
+    def fn(item: int) -> int:
+        time.sleep(0.05 if item == 2 else 0.0)  # on two threads, item 3 fails first
+        if item >= 2:
+            raise TransportError(f"item {item}")
+        return item
+
+    client = LlmClient(EndpointConfig(max_parallel_requests=workers), CountingTransport())
+    yielded: list[int] = []
+    with pytest.raises(TransportError, match="^item 2$"):
+        for result in client.map(fn, range(6)):
+            yielded.append(result)
+    assert yielded == [0, 1]
 
 
 def test_live_eval_stops_embedding_once_a_text_fails(serve, config_file, capsys):

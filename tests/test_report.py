@@ -171,6 +171,8 @@ def test_heatmap_spec_validation():
         HeatmapSpec(rows=("a",), columns=("c",), cells=((0.5, 0.5),))
     with pytest.raises(ValueError):
         HeatmapSpec(rows=("a", "b"), columns=("c",), cells=((0.7,), (0.7,)))
+    with pytest.raises(ValueError, match="^heatmap requires at least one distribution$"):
+        heatmap_spec_from_distributions({}, top_k=2)
 
 
 def test_heatmap_svg_contains_labels_and_remainders():
