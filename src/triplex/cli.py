@@ -300,9 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(config)
         if args.command == "sample":
             return cmd_sample(config, args.variant)
-        if args.command == "run-all":
-            return cmd_run_all(config, args.backend)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return cmd_run_all(config, args.backend)  # argparse has refused any other command
     except TriplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

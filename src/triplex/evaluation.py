@@ -194,9 +194,9 @@ def _field_strings(triples: Iterable) -> Iterable[str]:
 class CodeTable:
     """An eval's distinct field strings, one integer code each, the gold set's first.
 
-    :attr:`gold` and :meth:`view` carry their triples' ``(n, 3)`` codes. Semantic
-    edges read one cosine matrix of every string against the gold strings,
-    embedded in one call at the first semantic match.
+    :attr:`gold` and :meth:`view` carry their triples' ``(n, 3)`` codes. Semantic edges
+    and redundancy read the strings' unit vectors and one cosine matrix of every string
+    against the gold strings, embedded in one call: scoring a view needs no other.
     """
 
     def __init__(self, gold: Sequence, runs: Iterable[Sequence]) -> None:
@@ -204,7 +204,7 @@ class CodeTable:
         self.n_gold_strings = len(strings)  # the gold strings' codes are below it
         strings.update(dict.fromkeys(_field_strings(itertools.chain.from_iterable(runs))))
         self._code = {text: i for i, text in enumerate(strings)}
-        self._cosine: np.ndarray | None = None
+        self.vectors = self.cosine = None  # (strings, d) and (strings, gold strings), by embed
         self.gold = self.view(gold)
 
     def view(self, triples: Sequence) -> "CodedTriples":
@@ -214,16 +214,16 @@ class CodeTable:
         view.table, view.codes = self, np.fromiter(codes, np.intp, 3 * len(view)).reshape(-1, 3)
         return view
 
-    def cosine(self, embedder: Embedder) -> np.ndarray:
-        """``(strings, gold strings)`` cosines, clipped to [-1, 1]; equal codes score 1.0."""
-        if self._cosine is None:
-            vectors = np.array([v.values for v in embedder.embed([*self._code])])
+    def embed(self, embedder: Embedder) -> "CodeTable":
+        """The table; the first call sets its unit vectors and clipped cosines (equal codes 1.0)."""
+        if self.vectors is None:
+            self.vectors = np.array([v.values for v in embedder.embed([*self._code])])
             # einsum sums in numpy's own loop on this thread: a BLAS product hands the
             # work to OpenBLAS threads, whose spinning slows the rest of the process
-            self._cosine = np.einsum("ik,jk->ij", vectors, vectors[: self.n_gold_strings])
-            np.clip(self._cosine, -1.0, 1.0, out=self._cosine)
-            np.fill_diagonal(self._cosine, 1.0)  # each gold string against itself
-        return self._cosine
+            self.cosine = np.einsum("ik,jk->ij", self.vectors, self.vectors[: self.n_gold_strings])
+            np.clip(self.cosine, -1.0, 1.0, out=self.cosine)
+            np.fill_diagonal(self.cosine, 1.0)  # each gold string against itself
+        return self
 
 
 class CodedTriples(tuple):
@@ -256,7 +256,7 @@ def _eligible_edges(
         required = 3 if config.mode is MatchMode.EXACT else 2
         rows, cols = np.nonzero(predicted.agreements >= required)
         return list(zip(rows.tolist(), cols.tolist(), itertools.repeat(1.0)))
-    cosine = predicted.table.cosine(embedder)
+    cosine = predicted.table.embed(embedder).cosine
     scores = np.zeros((len(pc), len(gc)))
     for k in range(3):
         scores += cosine[pc[:, k, None], gc[:, k]]
@@ -423,32 +423,31 @@ def redundancy_score(
     """Fraction of triples that near-duplicate another triple.
 
     Two triples are near-duplicates when subject and object are identical and
-    their predicate embeddings have cosine at or above ``threshold``.
+    their predicate embeddings have cosine at or above ``threshold``. A view reads its
+    table's vectors, with no embedder call once embedded; a plain list gets a table.
     """
     if not triples:
         raise ValueError("redundancy_score requires at least one triple")
-    # per (subject, object) pair, how many triples hold each predicate
-    groups: defaultdict[tuple[str, str], Counter[str]] = defaultdict(Counter)
-    for triple in triples:
-        groups[triple.subject, triple.object][triple.predicate] += 1
+    if not isinstance(triples, CodedTriples):
+        triples = CodeTable((), [triples]).view(triples)
+    # per (subject, object) code pair, how many triples hold each predicate code
+    groups: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)
+    for subject, predicate, obj in triples.codes.tolist():
+        groups[subject, obj][predicate] += 1
     multi = [counts for counts in groups.values() if counts.total() > 1]
     if not multi:
         return 0.0
-    predicates = sorted({predicate for counts in multi for predicate in counts})
-    vectors = dict(zip(predicates, embedder.embed(predicates)))
-    # each sorted pair of distinct predicates' verdict, at its first visit (cosine is symmetric)
-    near: dict[tuple[str, str], bool] = {}
+    # one block of cosines among the predicates that share a group with another triple
+    row = {code: i for i, code in enumerate({code for counts in multi for code in counts})}
+    vectors = triples.table.embed(embedder).vectors[[*row]]
+    cosine = np.clip(np.einsum("ik,jk->ij", vectors, vectors), -1.0, 1.0)
+    np.fill_diagonal(cosine, 1.0)  # a repeated predicate's triples near-duplicate each other
+    near = (cosine >= threshold).tolist()
     redundant = 0
     for counts in multi:
-        # a repeated predicate's triples near-duplicate each other: their cosine is 1.0
-        marked = {predicate for predicate, n in counts.items() if n > 1 and 1.0 >= threshold}
-        for pair in itertools.combinations(sorted(counts), 2):
-            verdict = near.get(pair)
-            if verdict is None:
-                verdict = near[pair] = vectors[pair[0]].cosine(vectors[pair[1]]) >= threshold
-            if verdict:
-                marked.update(pair)
-        redundant += sum(map(counts.__getitem__, marked))
+        for code, n in counts.items():
+            if any(near[row[code]][row[other]] for other in counts if other != code or n > 1):
+                redundant += n
     return redundant / len(triples)
 
 

@@ -18,7 +18,7 @@ from regen_golden import quickstart_manifest, run_all, run_all_eval_report, run_
 from triplex import cli, extraction
 from triplex.cli import main
 from triplex.corpus import chunk_document, read_corpus_jsonl
-from triplex.llmclient import MockTransport
+from triplex.llmclient import LlmClient, MockTransport
 from triplex.prompting import PromptVariant
 
 
@@ -65,6 +65,13 @@ def test_config_without_a_corpus_dir_is_fatal(config_file, capsys):
     config.write_text(json.dumps(settings), encoding="utf-8")
     assert main(["ingest", "--config", str(config)]) == 2
     assert capsys.readouterr().err == "error: config lacks corpus.source_dir\n"
+
+
+def test_unknown_command_is_refused_by_argparse(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bogus"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_unknown_variant_is_rejected_listing_choices(config_file, capsys):
@@ -163,16 +170,22 @@ def test_ingest_finds_the_one_article_of_an_agreement_nested_5000_deep(config_fi
 
 
 def test_deficient_example_bank_is_fatal(config_file, tmp_path, capsys):
-    bank = json.loads(
-        (Path(triplex.__file__).parent / "data" / "examples.json").read_text(encoding="utf-8")
-    )
-    bank["positive_examples"] = []
+    text = (Path(triplex.__file__).parent / "data" / "examples.json").read_text(encoding="utf-8")
     bank_path = tmp_path / "bank.json"
-    bank_path.write_text(json.dumps(bank), encoding="utf-8")
+    bank_path.write_text(text, encoding="utf-8")
     config = config_file(prompts={"examples_file": str(bank_path)})
     assert main(["ingest", "--config", str(config)]) == 0
-    assert main(["extract", "--config", str(config), "--variant", "one-shot"]) == 2
-    assert "example bank is incomplete" in capsys.readouterr().err
+    for deficiency, message in (
+        (lambda bank: bank.update(positive_examples=[]), "example bank is incomplete"),
+        (lambda bank: bank.update(focus_verbs=[]), "example bank needs at least one focus verb"),
+        (lambda bank: bank["positive_examples"][0].update(triples=[]), "has no triples"),
+    ):
+        bank = json.loads(text)
+        deficiency(bank)
+        bank_path.write_text(json.dumps(bank), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config), "--variant", "one-shot"]) == 2
+        assert message in fatal_error_line(capsys.readouterr().err)
 
 
 def test_gold_file_with_empty_field_is_fatal(config_file, tmp_path, capsys):
@@ -980,16 +993,21 @@ def test_eval_embeds_every_field_string_in_one_transport_call(config_file, monke
     config = config_file()
     for command in (["ingest"], ["extract"]):
         assert main(command + ["--config", str(config)]) == 0
-    calls = []
-    embed = MockTransport.embed
+    client_calls, transport_calls = [], []
 
-    def counted(self, texts):
-        calls.append(len(texts))
-        return embed(self, texts)
+    def counted(calls, embed):
+        def wrapper(self, texts):
+            calls.append(len(texts))
+            return embed(self, texts)
 
-    monkeypatch.setattr(MockTransport, "embed", counted)
+        return wrapper
+
+    monkeypatch.setattr(LlmClient, "embed", counted(client_calls, LlmClient.embed))
+    monkeypatch.setattr(MockTransport, "embed", counted(transport_calls, MockTransport.embed))
     assert main(["eval", "--config", str(config)]) == 0
-    assert len(calls) == 1, calls
+    assert len(transport_calls) == 1, transport_calls
+    # the code table's one call serves every run's semantic match and its redundancy
+    assert client_calls == transport_calls, client_calls
 
 
 def test_eval_scores_a_run_without_triples(config_file):

@@ -514,6 +514,9 @@ def test_redundancy_equals_a_plain_pairwise_loop(rows, threshold):
     with make_client(EndpointConfig(seed=42), backend="mock") as client:
         expected = _redundancy_by_pairs(triples, client, threshold)
         assert redundancy_score(triples, client, threshold) == expected
+        # a view reads the vectors of a table that also codes a gold set, as eval's runs do
+        view = CodeTable([T("b", "ratified", "y")], [triples]).view(triples)
+        assert redundancy_score(view, client, threshold) == expected
 
 
 def test_coverage_counts_gold_entities_found():

@@ -43,6 +43,8 @@ def test_variant_names_and_order():
     assert LADDER == sorted(LADDER)
     assert [v.rank for v in LADDER] == [0, 1, 2, 3]
     assert PromptVariant.ZERO_SHOT < PromptVariant.NEGATIVE_EXAMPLES
+    with pytest.raises(TypeError):  # a variant orders only against variants
+        PromptVariant.ZERO_SHOT < 1
 
 
 def test_constructor_round_trips():
@@ -77,6 +79,9 @@ def test_zero_shot_needs_nothing(bank):
         focus_verbs=("sign",),
     )
     assert validate_bank(bare, PromptVariant.ZERO_SHOT) == []
+    # a bank with no positive example still renders a zero-shot prompt, its slots filled
+    text = build_prompt(PromptVariant.ZERO_SHOT, bare, CHUNK).text
+    assert CHUNK in text and "{{" not in text
 
 
 def test_missing_definition_reported_for_one_shot(bank):
@@ -259,6 +264,11 @@ def test_from_dir_missing_template_raises(tmp_path):
     with pytest.raises(ConfigurationError) as excinfo:
         PromptTemplates.from_dir(tmp_path)
     assert "one-shot" in str(excinfo.value)
+    # built from texts, not files: the constructor names the variant it lacks
+    texts = {variant: "Text:\n{{chunk}}" for variant in PromptVariant}
+    del texts[PromptVariant.FEW_SHOT]
+    with pytest.raises(ConfigurationError, match="missing prompt templates: few-shot$"):
+        PromptTemplates(texts)
 
 
 def test_template_without_chunk_placeholder_raises(tmp_path):
