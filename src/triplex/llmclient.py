@@ -8,9 +8,7 @@ seed, which makes every pipeline run on it reproducible bit for bit.
 
 from __future__ import annotations
 
-import email.utils
 import hashlib
-import http.client
 import json
 import os
 import random
@@ -20,7 +18,6 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -47,6 +44,8 @@ _BACKOFF_BASE_S = 0.25
 _RETRIED_CLIENT_ERRORS = (408, 429)
 _JSON_HEADERS = {"Content-Type": "application/json"}
 _RETRY_AFTER_CAP_S = 30.0
+# JSON may escape a lone surrogate ("\ud800"), which no UTF-8 file can hold
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _retry_after_s(value: str | None) -> float | None:
@@ -61,6 +60,9 @@ def _retry_after_s(value: str | None) -> float | None:
     if re.fullmatch(r"[0-9]+", value):
         seconds = float(value)
     else:
+        import email.utils  # only an HTTP-date needs the date parser
+        from datetime import datetime, timezone
+
         try:
             when = email.utils.parsedate_to_datetime(value)
         except (TypeError, ValueError):
@@ -352,7 +354,8 @@ class HttpTransport:
     flight. A 3xx or 4xx reply is fatal, but for a 408 or a 429, which is
     retried like a connection error, a timeout, a 5xx or a reply that is not JSON.
     A retried status that carries ``Retry-After`` waits what it asks, at most
-    30 s, instead of the backoff step.
+    30 s, instead of the backoff step. A chat reply whose text is not a string,
+    or holds a lone surrogate, raises :class:`TransportError` without a retry.
     """
 
     def __init__(self, config: EndpointConfig, sleeper=time.sleep) -> None:
@@ -367,9 +370,13 @@ class HttpTransport:
                 f"got {base_url!r}"
             )
         self._origin = f"{scheme}://{self._netloc}"
+        # only the live backend speaks HTTP, so a mock run never loads http.client or ssl
+        import http.client
+
         self._connection_class = (
             http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         )
+        self._retried_errors = (OSError, http.client.HTTPException)
         # deque's append and pop are thread-safe, so borrowing needs no lock
         self._idle: deque[http.client.HTTPConnection] = deque()
         self._chat_target = prefix + (config.chat_path or self._wire.chat_path)
@@ -419,7 +426,7 @@ class HttpTransport:
             wait_s = None
             try:
                 status, data, retry_after = self._post(target, body)
-            except (OSError, http.client.HTTPException) as exc:
+            except self._retried_errors as exc:
                 last_error = exc
                 continue
             if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
@@ -460,7 +467,16 @@ class HttpTransport:
             "messages": [{"role": "user", "content": prompt_text}],
             **self._wire.chat_fields(decoding),
         }
-        return self._request("chat", self._chat_target, payload, self._wire.chat_reply)
+        text = self._request("chat", self._chat_target, payload, self._wire.chat_reply)
+        if not isinstance(text, str):
+            raise TransportError(f"unexpected chat response shape: {str(text)[:200]}")
+        surrogate = _SURROGATE.search(text)
+        if surrogate:
+            raise TransportError(
+                f"chat reply holds a lone surrogate {surrogate.group()!r} at index "
+                f"{surrogate.start()}, which UTF-8 cannot encode: {text[:200]!r}"
+            )
+        return text
 
     def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         """The vectors of ``texts``, from one request with a list ``input``."""

@@ -6,11 +6,11 @@ same inputs twice yields byte-identical files.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 from .artifacts import write_json, write_text
 from .evaluation import Metrics, PredicateDistribution
@@ -89,6 +89,17 @@ def parse_metrics_csv(csv_text: str) -> dict[str, dict[str, Metrics]]:
 # SVG helpers
 # ---------------------------------------------------------------------------
 
+# every character outside XML 1.0's Char production: the C0 controls but tab, LF and CR,
+# the surrogates, U+FFFE and U+FFFF
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _escape(content: str) -> str:
+    """``content`` as XML character data: ``&``, ``<`` and ``>`` as entities (the bytes
+    ``xml.sax.saxutils.escape`` writes), and a character XML forbids as U+FFFD."""
+    content = content.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return _NOT_XML_CHAR.sub("\ufffd", content)
+
 
 def _text(
     x: int, y: int, content: str, size: int = 12, fill: str = "#222", anchor: str = ""
@@ -96,7 +107,7 @@ def _text(
     anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
     return (
         f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{anchor_attr}>'
-        f"{escape(content)}</text>"
+        f"{_escape(content)}</text>"
     )
 
 

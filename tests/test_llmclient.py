@@ -7,6 +7,7 @@ import hashlib
 import http.client
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -28,6 +29,7 @@ from triplex.llmclient import (
     EMBEDDING_DIM,
     EMPTY_CASE_TOKEN,
     ENDPOINT_ENV_VAR,
+    REFINEMENT_MARKER,
     EndpointConfig,
     HttpTransport,
     LlmClient,
@@ -68,6 +70,50 @@ def test_mock_chat_empty_case_yields_no_candidates(mock_client):
 def test_complete_rejects_empty_prompt(mock_client):
     with pytest.raises(ValueError):
         mock_client.complete("   ")
+
+
+def test_mock_chat_draws_entities_from_the_chunks_first_ten_names():
+    names = [f"Land{letter}" for letter in "ABCDEFGHIJKL"]
+    prompt = "Extract triples.\n\nText:\n" + " and ".join(names) + "."
+    fields = set()
+    for seed in range(40):
+        for subject, _, obj, _, _ in parse_triples(MockTransport(seed=seed).chat(prompt))[0]:
+            fields.update((subject, obj))
+    assert fields & set(names) == set(names[:10])
+
+
+def _refine(original: str | None, chunk: str) -> str:
+    """The mock's reply to a refinement prompt whose generic term is "the parties"."""
+    lines = [f"{REFINEMENT_MARKER}.", "Generic terms: the parties"]
+    if original is not None:
+        lines.append(f"Original triple: {original}")
+    return MockTransport(seed=0).chat("\n".join([*lines, "Text:", chunk]))
+
+
+def test_mock_refinement_without_an_original_triple_answers_unknown():
+    assert _refine(None, "Japan and Chile signed it.") == "(unknown | unknown | unknown)"
+
+
+def test_mock_refinement_returns_an_original_without_three_fields_as_is():
+    assert _refine("(The Parties | signed)", "Japan and Chile signed it.") == (
+        "(The Parties | signed)"
+    )
+
+
+@pytest.mark.parametrize(
+    "chunk, subject",
+    [
+        ("Japan and Chile signed it.", "Japan and Chile"),
+        # "The" is blocklisted and "EU" is too short, which leaves one entity
+        ("The parties and the EU met in Japan.", "Japan"),
+        ("the parties signed it.", "The Parties"),  # no entity: the field stays
+    ],
+    ids=["two-entities", "one-entity", "no-entity"],
+)
+def test_mock_refinement_replaces_generic_fields_by_the_chunks_entities(chunk, subject):
+    assert _refine("(The Parties | signed | contract)", chunk) == (
+        f"({subject} | signed | contract)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +626,8 @@ def test_http_request_urls_and_payloads_are_pinned(
         ("ollama", ["not", "an", "object"]),
         ("openai", {"choices": []}),
         ("openai", {"choices": [{"text": "legacy"}]}),
+        ("ollama", {"message": {"content": None}}),
+        ("openai", {"choices": [{"message": {"content": 7}}]}),
     ],
 )
 def test_http_wrong_reply_shape_names_the_request_kind(serve, profile, reply):
@@ -589,6 +637,16 @@ def test_http_wrong_reply_shape_names_the_request_kind(serve, profile, reply):
         transport.chat("hello")
     with pytest.raises(TransportError, match="^unexpected embedding response shape: "):
         transport.embed_one("hello")
+
+
+def test_http_chat_refuses_a_reply_that_holds_a_lone_surrogate(serve):
+    # JSON escapes it as "\\ud800", and json.loads keeps it, but UTF-8 cannot encode it
+    server = serve(Reply(200, {"message": {"content": "(Japan | ex\ud800ports | cars)"}}))
+    transport, sleeps = _transport(server)
+    message = "chat reply holds a lone surrogate '\\ud800' at index 11, which UTF-8 cannot encode"
+    with pytest.raises(TransportError, match="^" + re.escape(message)):
+        transport.chat("hello")
+    assert len(server.requests) == 1 and sleeps == []  # refused at once, not retried
 
 
 def test_http_unexpected_response_shape_is_transport_error(serve):
@@ -729,6 +787,20 @@ def test_live_extract_exits_1_and_writes_the_run_when_a_chunk_runs_out_of_retrie
     assert run.stats["chunks_failed"] == 1
     assert run.stats["chunks_processed"] == len(server.requests) - 1 > 1
     assert ", 1 failed)" in capsys.readouterr().out
+
+
+def test_live_extract_exits_1_when_a_reply_holds_a_lone_surrogate(serve, config_file, capsys):
+    # the surrogate would reach the run file, which UTF-8 cannot hold: its chunk fails instead
+    lone = Reply(200, {"message": {"content": "(Japan | ex\ud800ports | cars)"}})
+    server = serve(lone, *[ECHO] * 200)
+    config = config_file(endpoint={"base_url": server.url, "max_parallel_requests": 1})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    argv = ["extract", "--config", str(config), "--variant", "zero-shot", "--backend", "live"]
+    assert cli.main(argv) == 1
+    assert ", 1 failed)" in capsys.readouterr().out
+    run = read_run(config.parent / "out" / "runs" / "zero-shot.jsonl")
+    assert run.stats["chunks_failed"] == 1
+    assert run.stats["chunks_processed"] > 0
 
 
 def test_live_extract_exits_1_naming_the_variant_whose_every_chunk_failed(

@@ -77,7 +77,8 @@ def test_demo_runs(demo, tmp_path):
 
 def test_cli_imports_and_a_mock_run_load_no_scipy_or_requests(tmp_path):
     # the README quick-start config with the default greedy assignment spelled out;
-    # certifi is left out of the check: some interpreters load it from site
+    # certifi is left out of the check: some interpreters load it from site. Only a live
+    # client loads the HTTP and TLS stack, and the report's XML escape is its own
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -92,8 +93,10 @@ def test_cli_imports_and_a_mock_run_load_no_scipy_or_requests(tmp_path):
     )
     code = f"""
 import json, sys
+names = ("scipy", "requests", "urllib3", "http.client", "ssl", "email.utils", "urllib.request",
+         "xml.sax")
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests", "urllib3"))
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
 import triplex.cli
 after_import = heavy()
 status = triplex.cli.main(["run-all", "--config", {str(config)!r}])

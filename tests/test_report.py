@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triplex import report
 from triplex.corpus import load_corpus
 from triplex.evaluation import Metrics, PredicateDistribution, predicate_distribution
 from triplex.extraction import chunk_corpus, run_extraction
@@ -132,6 +137,36 @@ def test_frequency_chart_escapes_markup_in_labels():
     svg = frequency_chart(dist, top_k=20)
     assert "a&lt;b&gt;&amp;c" in svg
     assert "a<b>&c" not in svg
+
+
+# the characters XML 1.0 allows (its Char production), markup among them
+_XML_TEXT = st.text(
+    st.sampled_from("&<>;\t\n\r") | st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters=[*map(chr, range(0x20)), "\ufffe", "\uffff"],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_XML_TEXT)
+def test_svg_escape_writes_the_bytes_saxutils_writes_for_xml_text(text):
+    assert report._escape(text) == escape(text)
+
+
+# one character XML 1.0 forbids from each class: a C0 control, a lone surrogate, a noncharacter
+_NOT_XML = ["\x01", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", _NOT_XML, ids=[f"U+{ord(c):04X}" for c in _NOT_XML])
+def test_frequency_chart_and_heatmap_parse_with_a_label_xml_forbids(char):
+    label = f"ex{char}ports & <more>"
+    kept = "ex\ufffdports & <more>"
+    chart = frequency_chart(PredicateDistribution(counts={label: 2, "signs": 1}, total=3), 20)
+    spec = HeatmapSpec(rows=(label,), columns=("zero-shot",), cells=((1.0,),))
+    for svg in (chart, heatmap(spec)):
+        texts = [node.text for node in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert kept in texts
 
 
 def test_frequency_chart_rejects_empty():
