@@ -194,9 +194,9 @@ def _field_strings(triples: Iterable) -> Iterable[str]:
 class CodeTable:
     """An eval's distinct field strings, one integer code each, the gold set's first.
 
-    :attr:`gold` and :meth:`view` carry their triples' ``(n, 3)`` codes. Semantic edges
-    and redundancy read the strings' unit vectors and one cosine matrix of every string
-    against the gold strings, embedded in one call: scoring a view needs no other.
+    :attr:`gold` and :meth:`view` carry their triples' ``(n, 3)`` codes. Semantic edges and
+    redundancy read the strings' unit vectors, kept here alone, and one cosine matrix of
+    every string against the gold strings, embedded in one call: a view needs no other.
     """
 
     def __init__(self, gold: Sequence, runs: Iterable[Sequence]) -> None:

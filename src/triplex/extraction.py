@@ -421,7 +421,8 @@ def read_run(path: str | Path) -> ExtractionRun:
     first record's, and one without records is named by its file stem. A
     record naming another variant makes the run corrupt, and so does a
     sidecar counting other than the triples the run holds, as for a run cut
-    short at a line boundary, and so does a field of the wrong type.
+    short at a line boundary, and so does a field of the wrong type or a
+    subject, predicate or object that is empty or whitespace only.
     """
     target = Path(path)
     sidecar = target.with_suffix(".stats.json")
@@ -432,7 +433,8 @@ def read_run(path: str | Path) -> ExtractionRun:
     variant = meta.variant
 
     def triple(record: object) -> Triple:
-        # one test of the keys, one of the value types and one of the variant
+        # one test of the keys, one of the value types, one of the variant and one of the
+        # subject, predicate and object, the first three fields, which no embedder takes blank
         nonlocal variant
         if type(record) is dict and record.keys() <= _TRIPLE_KEYS:
             values = [*map(record.get, _TRIPLE_FIELDS, _FIELD_DEFAULTS)]
@@ -440,14 +442,18 @@ def read_run(path: str | Path) -> ExtractionRun:
                 named = values[_VARIANT_AT] = _VARIANT_NAMED.get(values[_VARIANT_AT])
                 variant = variant or named  # without a sidecar, the first record names it
                 if named is variant and named is not None:
-                    return Triple(*values)
+                    if values[0].strip() and values[1].strip() and values[2].strip():
+                        return Triple(*values)
         # refused: the first fault of no object, a missing or unknown variant, another run's
-        # variant, then a wrong type, an undeclared key or a missing field, as from_json finds
+        # variant, then a wrong type, an undeclared key or a missing field, as from_json
+        # finds, then a blank subject, predicate or object
         record = typed("the record", record, dict)
         named = PromptVariant(required(record, "", "variant"))
         if variant is not None and named is not variant:
             raise ConfigurationError(f"record names {named.value}, the run {variant.value}")
-        return from_json(Triple, record)
+        loaded = from_json(Triple, record)  # valid but for the blank the fast path found
+        blank = next(name for name, value in zip(_TRIPLE_FIELDS, loaded[:3]) if not value.strip())
+        raise ConfigurationError(f"{blank} is empty")
 
     triples = read_jsonl(target, "run file", triple)
     stats = {**_empty_stats(), **meta.stats}

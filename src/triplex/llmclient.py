@@ -363,11 +363,18 @@ class HttpTransport:
         self._sleep = sleeper
         self._wire = _WIRES[config.profile]
         base_url = (os.environ.get(ENDPOINT_ENV_VAR) or config.base_url).rstrip("/")
-        scheme, self._netloc, prefix = urlsplit(base_url)[:3]
+        try:  # urlsplit refuses an unclosed IPv6 bracket, and .port a port outside 0-65535
+            parts = urlsplit(base_url)
+            parts.port
+        except ValueError as exc:
+            parts, fault = ("", "", ""), f" ({exc})"
+        else:
+            fault = ""
+        scheme, self._netloc, prefix = parts[:3]
         if scheme not in ("http", "https") or not self._netloc:
             raise ConfigurationError(
                 f"endpoint URL must start with http:// or https:// and name a host, "
-                f"got {base_url!r}"
+                f"got {base_url!r}{fault}"
             )
         self._origin = f"{scheme}://{self._netloc}"
         # only the live backend speaks HTTP, so a mock run never loads http.client or ssl
@@ -380,7 +387,7 @@ class HttpTransport:
         # deque's append and pop are thread-safe, so borrowing needs no lock
         self._idle: deque[http.client.HTTPConnection] = deque()
         self._chat_target = prefix + (config.chat_path or self._wire.chat_path)
-        self._embeddings_target = prefix + (config.embeddings_path or self._wire.embeddings_path)
+        self._embed_target = prefix + (config.embeddings_path or self._wire.embeddings_path)
 
     def close(self) -> None:
         """Close every idle connection; call it with no request in flight."""
@@ -482,7 +489,7 @@ class HttpTransport:
         """The vectors of ``texts``, from one request with a list ``input``."""
         payload = {"model": self.config.embedding_model, "input": [*texts]}
         vectors = self._request(
-            "embedding", self._embeddings_target, payload, self._wire.embeddings_reply
+            "embedding", self._embed_target, payload, self._wire.embeddings_reply
         )
         if len(vectors) != len(texts):
             raise TransportError(
@@ -496,15 +503,12 @@ class HttpTransport:
 
 
 class LlmClient:
-    """Facade over a transport: bounded parallelism and an embedding store."""
+    """Facade over a transport: bounded parallelism for chat and batched embedding requests."""
 
     def __init__(self, config: EndpointConfig, transport: Transport) -> None:
         self.config = config
         self.transport = transport
         self._gate = threading.Semaphore(config.max_parallel_requests)
-        self._embeddings: dict[str, EmbeddingVector] = {}
-        # the first vector's (length,), under one key: setdefault sets it once across threads
-        self._shape: dict[str, tuple[int]] = {}
 
     def __enter__(self) -> "LlmClient":
         return self
@@ -571,31 +575,33 @@ class LlmClient:
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """Embed each text, returning unit-length vectors in input order.
 
-        Vectors are kept for the life of the client, so the transport sees
-        each distinct text once. The texts not yet seen are cut into up to
-        ``max_parallel_requests`` contiguous batches of near-equal size, one
-        request each, fetched through :meth:`map`: with a bound of one (every
-        mock client) the one batch is fetched on the calling thread. Once a
-        batch fails no new one starts, and the first failing batch's error
-        is raised.
+        The texts, as given, are cut into up to ``max_parallel_requests`` contiguous
+        batches of near-equal size, one request each, fetched through :meth:`map`: with a
+        bound of one (every mock client) the one batch is fetched on the calling thread.
+        Once a batch fails no new one starts, and the first failing batch's error is
+        raised. The client keeps no vector: a text given again is sent again.
         """
         if not texts:
             raise ValueError("embed requires a non-empty list of texts")
         for i, text in enumerate(texts):
             if not isinstance(text, str) or not text.strip():
                 raise ValueError(f"embed text at index {i} is empty")
-        # unlocked: a text two threads embed at once is fetched twice, harmlessly
-        unseen = [text for text in dict.fromkeys(texts) if text not in self._embeddings]
         bound = self.config.max_parallel_requests
         # contiguous slices, so the lowest failing batch holds the first failing text;
-        # the empty ones are skipped, leaving min(bound, len(unseen)), one per thread of map
-        ends = [len(unseen) * i // bound for i in range(1, bound + 1)]
-        batches = [unseen[start:end] for start, end in zip([0, *ends], ends) if start < end]
-        list(self.map(self._fetch, batches))  # _fetch keeps the vectors; draining runs each batch
-        return [self._embeddings[text] for text in texts]
+        # the empty ones are skipped, leaving min(bound, len(texts)), one per thread of map
+        ends = [len(texts) * i // bound for i in range(1, bound + 1)]
+        batches = [texts[start:end] for start, end in zip([0, *ends], ends) if start < end]
+        vectors = [vector for batch in self.map(self._fetch, batches) for vector in batch]
+        shape = (vectors[0].values.size,)
+        for text, vector in zip(texts, vectors):
+            if vector.values.shape != shape:
+                name, got = repr(text[:40]), vector.values.shape
+                raise TransportError(f"embedding for {name} has shape {got}, not {shape}")
+        return vectors
 
-    def _fetch(self, texts: list[str]) -> None:
-        """Fetch the embeddings of ``texts`` through the gate and keep them, unit length."""
+    def _fetch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        """The embeddings of ``texts``, fetched through the gate, unit length."""
+        vectors = []
         with self._gate:  # a transport may compute each vector as it is taken
             for text, vector in zip(texts, self.transport.embed(texts), strict=True):
                 name = repr(text[:40])
@@ -606,10 +612,8 @@ class LlmClient:
                 norm = float(np.linalg.norm(raw))
                 if not np.isfinite(norm) or norm <= 0.0:
                     raise TransportError(f"embedding for {name} has invalid norm {norm}")
-                shape = self._shape.setdefault("", (raw.size,))
-                if raw.shape != shape:
-                    raise TransportError(f"embedding for {name} has shape {raw.shape}, not {shape}")
-                self._embeddings[text] = EmbeddingVector(values=raw / norm)
+                vectors.append(EmbeddingVector(values=raw / norm))
+        return vectors
 
 
 def make_client(config: EndpointConfig, backend: str = "mock") -> LlmClient:

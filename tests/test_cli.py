@@ -461,6 +461,26 @@ def test_run_record_value_of_the_wrong_type_is_fatal_and_names_the_key(
         assert f"corrupt run file {run}, line 2: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("subject", ""), ("object", " \t")], ids=["empty", "blank"])
+def test_run_record_with_a_blank_field_is_fatal_to_eval_report_and_sample(
+    config_file, capsys, key, value
+):
+    # no embedder takes a blank text, so eval would fail on it after reading every run
+    config = config_file()
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--variant", "zero-shot"]) == 0
+    run = out_dir_of(config) / "runs" / "zero-shot.jsonl"
+    lines = run.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in (["eval"], ["report"], ["sample", "--variant", "zero-shot"]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(config)]) == 2
+        line = fatal_error_line(capsys.readouterr().err)
+        assert line == f"error: corrupt run file {run}, line 2: {key} is empty"
+    assert not (out_dir_of(config) / "eval_report.json").exists()
+
+
 _UNDECODABLE = [
     (
         lambda line: re.sub(r'"chunk_index": \d+', '"chunk_index": ' + "1" * 5001, line),

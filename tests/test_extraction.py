@@ -870,11 +870,13 @@ _awkward_text = st.one_of(
     st.text(max_size=12),
     st.text(alphabet='"\\\x00\x08\x1f\x7f\x85  é|\U0001f600\U00010348 a\n\r\t', max_size=12),
 )
+# read_run refuses a subject, predicate or object that is blank, which no embedder takes
+_awkward_field = _awkward_text.filter(str.strip)
 _triples = st.builds(
     Triple,
-    subject=_awkward_text,
-    predicate=_awkward_text,
-    object=_awkward_text,
+    subject=_awkward_field,
+    predicate=_awkward_field,
+    object=_awkward_field,
     doc_id=_awkward_text,
     article_id=_awkward_text,
     chunk_index=st.integers(min_value=-(2**70), max_value=2**70),
@@ -994,6 +996,14 @@ _RECORD_EDITS = {
     "other variant and subject wrong": _set(variant="zero-shot", subject=7),
     "unknown variant and no subject": lambda record: {**_without("subject")(record), "variant": "x"},
     "no subject and no variant": _without("subject", "variant"),
+    **{
+        f"{key} {kind}": _set(**{key: value})
+        for key in ("subject", "predicate", "object")
+        for kind, value in (("empty", ""), ("blank", " \t\u3000"))
+    },
+    "subject empty and chunk_index wrong": _set(subject="", chunk_index="x"),
+    "extra key and object blank": _set(note="x", object=" "),
+    "other variant and predicate empty": _set(variant="zero-shot", predicate=""),
 }
 _VALID_NAMES = "; valid names: zero-shot, one-shot, few-shot, negative-examples"
 # what read_run makes of the record of each edit: the fields it loads differently from the
@@ -1090,6 +1100,16 @@ _READ_OUTCOMES = {
     "other variant and subject wrong": "record names zero-shot, the run negative-examples",
     "unknown variant and no subject": "unknown prompt variant 'x'" + _VALID_NAMES,
     "no subject and no variant": "variant is required",
+    "subject empty": "subject is empty",
+    "subject blank": "subject is empty",
+    "predicate empty": "predicate is empty",
+    "predicate blank": "predicate is empty",
+    "object empty": "object is empty",
+    "object blank": "object is empty",
+    # a blank field is found after every type, key and variant fault
+    "subject empty and chunk_index wrong": 'chunk_index must be an integer, got "x"',
+    "extra key and object blank": "unknown key note" + _VALID_KEYS,
+    "other variant and predicate empty": "record names zero-shot, the run negative-examples",
 }
 
 

@@ -207,21 +207,6 @@ def test_client_embed_rejects_empty_inputs():
     assert transport.embedded == []
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_client_embed_fetches_each_text_once(workers):
-    transport = EmbedCountingTransport()
-    client = LlmClient(EndpointConfig(max_parallel_requests=workers), transport)
-    a, b, a_again = client.embed(["a", "b", "a"])
-    b_again, c = client.embed(["b", "c"])
-    if workers == 1:
-        assert transport.embedded == ["a", "b", "c"]
-    else:  # the order among parallel fetches is not defined
-        assert Counter(transport.embedded) == Counter("abc")
-    assert np.array_equal(a.values, a_again.values)
-    assert np.array_equal(b.values, b_again.values)
-    assert np.allclose(c.values, oracle_embedding("c"))
-
-
 # ---------------------------------------------------------------------------
 # HTTP transport, against a scripted local server
 # ---------------------------------------------------------------------------
@@ -665,7 +650,12 @@ def test_endpoint_env_var_overrides_base_url(serve, monkeypatch):
     assert [r["url"] for r in server.requests] == [server.url + "/api/chat"]
 
 
-@pytest.mark.parametrize("base_url", ["localhost:11434", "ftp://models:21", "http://", "/api"])
+_MALFORMED_URLS = ["http://[::1", "http://localhost:notaport", "http://127.0.0.1:99999"]
+
+
+@pytest.mark.parametrize(
+    "base_url", ["localhost:11434", "ftp://models:21", "http://", "/api", *_MALFORMED_URLS]
+)
 def test_endpoint_url_without_http_scheme_or_host_is_fatal(monkeypatch, base_url):
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
     with pytest.raises(ConfigurationError, match="endpoint URL must start with http"):
@@ -850,6 +840,26 @@ def test_extract_whose_every_chunk_fails_removes_the_variants_older_run(
     assert f"zero-shot: removed the older {runs / 'zero-shot.jsonl'}\n" in err
     assert f"zero-shot: removed the older {runs / 'zero-shot.stats.json'}\n" in err
     assert [*runs.iterdir()] == []
+
+
+@pytest.mark.parametrize("base_url", _MALFORMED_URLS)
+def test_live_extract_with_a_malformed_endpoint_url_exits_2_and_keeps_the_older_run(
+    config_file, capsys, monkeypatch, base_url
+):
+    config = config_file()
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    argv = ["extract", "--config", str(config), "--variant", "zero-shot"]
+    assert cli.main(argv) == 0
+    runs = config.parent / "out" / "runs"
+    before = {path.name: path.read_bytes() for path in runs.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setenv(ENDPOINT_ENV_VAR, base_url)  # the variable overrides the config's URL
+    assert cli.main([*argv, "--backend", "live"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: endpoint URL must start with http:// or https:// and name a "
+                          f"host, got {base_url!r} (")
+    assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in runs.iterdir()} == before
 
 
 def test_live_extract_and_eval_close_their_connections(serve, config_file, monkeypatch):
@@ -1047,16 +1057,26 @@ def test_client_embeds_on_max_parallel_requests_threads(workers):
     assert {len(batch) for batch in batches} == {len(TEXTS) // workers}
 
 
-def test_parallel_embed_matches_a_serial_client_and_fetches_each_text_once():
+def test_parallel_embed_matches_a_serial_client_and_sends_each_text_it_is_given():
     texts = [f"text {i % 25}" for i in range(60)]  # repeats within the call
     serial = LlmClient(EndpointConfig(max_parallel_requests=1), MockTransport())
     transport = CountingTransport()
     client = LlmClient(EndpointConfig(max_parallel_requests=4), transport)
     for expected, vector in zip(serial.embed(texts), client.embed(texts), strict=True):
         assert np.array_equal(expected.values, vector.values)
-    assert Counter(transport.embedded) == Counter(set(texts))
-    client.embed(texts[::-1])
-    assert len(transport.embedded) == 25
+    assert Counter(transport.embedded) == Counter(texts)
+
+
+def test_each_embed_call_on_one_client_sends_its_own_texts():
+    transport = CountingTransport()
+    client = LlmClient(EndpointConfig(max_parallel_requests=2), transport)
+    a, b, a_again = client.embed(["a", "b", "a"])
+    b_again, c = client.embed(["b", "c"])
+    # the client keeps no vector: each call's texts go out as given, in its own batches
+    assert sorted(transport.batches) == [["a"], ["b"], ["b", "a"], ["c"]]
+    assert np.array_equal(a.values, a_again.values)
+    assert np.array_equal(b.values, b_again.values)
+    assert np.allclose(c.values, oracle_embedding("c"))
 
 
 def test_failed_parallel_embed_starts_no_new_text_and_raises_the_first_texts_error():
@@ -1231,19 +1251,15 @@ def test_embed_sends_one_request_per_worker_whose_inputs_join_in_order(serve, wo
     server = serve(*[EMBED] * 20)
     transport, _ = _transport(server, max_parallel_requests=workers)
     client = LlmClient(transport.config, transport)
-    client.embed(["text 3"])
-    texts = TEXTS[:10] * 2  # a text repeated within the call is sent once
+    texts = TEXTS[:19]  # no bound here divides it: the batches differ in size by one
     vectors = client.embed(texts)
-    unseen = [text for text in TEXTS[:10] if text != "text 3"]
-    assert len(server.requests) == 1 + workers
-    inputs = [_payload(request)["input"] for request in server.requests[1:]]
-    inputs.sort(key=lambda batch: unseen.index(batch[0]))
-    assert [text for batch in inputs for text in batch] == unseen
+    assert len(server.requests) == workers
+    inputs = [_payload(request)["input"] for request in server.requests]
+    inputs.sort(key=lambda batch: texts.index(batch[0]))
+    assert [text for batch in inputs for text in batch] == texts
     expected = make_client(EndpointConfig(), "mock").embed(texts)
     for want, vector in zip(expected, vectors, strict=True):
         assert np.array_equal(want.values, vector.values)
-    client.embed(texts[::-1])
-    assert len(server.requests) == 1 + workers
 
 
 @pytest.mark.parametrize("returned", [1, 3], ids=["too-few", "too-many"])
@@ -1306,29 +1322,40 @@ def test_embed_raises_the_lowest_failing_batchs_error(serve):
     assert 1 <= len(server.requests) <= 4
 
 
+_LONGER_Y = {"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]}
+
+
 @pytest.mark.parametrize(
-    "replies, message",
+    "vectors, bound, message",
     [
-        ([[["a", "b"]]], "^embedding for 'x' is not numbers: could not convert string to float: 'a'$"),
-        ([[[[1.0], [0.0]]]], r"^embedding for 'x' has shape \(2, 1\), not \(2,\)$"),
-        ([[3.0]], r"^embedding for 'x' has shape \(\), not \(1,\)$"),
-        ([[[]]], "^embedding for 'x' has invalid norm 0.0$"),
-        ([[[1.0, 0.0], [1.0, 0.0, 0.0]]], r"^embedding for 'y' has shape \(3,\), not \(2,\)$"),
-        ([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], r"^embedding for 'y' has shape \(3,\), not \(2,\)$"),
+        (
+            {"x": ["a", "b"]},
+            1,
+            "^embedding for 'x' is not numbers: could not convert string to float: 'a'$",
+        ),
+        ({"x": [[1.0], [0.0]]}, 1, r"^embedding for 'x' has shape \(2, 1\), not \(2,\)$"),
+        ({"x": 3.0}, 1, r"^embedding for 'x' has shape \(\), not \(1,\)$"),
+        ({"x": []}, 1, "^embedding for 'x' has invalid norm 0.0$"),
+        (_LONGER_Y, 1, r"^embedding for 'y' has shape \(3,\), not \(2,\)$"),
+        (_LONGER_Y, 2, r"^embedding for 'y' has shape \(3,\), not \(2,\)$"),
     ],
     ids=["strings", "nested", "number", "empty", "longer in one reply", "longer in a later reply"],
 )
 def test_embed_refuses_a_vector_that_is_not_one_list_of_numbers_as_long_as_the_others(
-    serve, replies, message
+    serve, vectors, bound, message
 ):
-    server = serve(*(Reply(200, {"embeddings": vectors}) for vectors in replies))
-    transport, _ = _transport(server, max_parallel_requests=1)
+    # one call; with a bound of 2 each text is its own batch, and the second reply is longer
+    def reply(payload: dict) -> Reply:
+        return Reply(200, {"embeddings": [vectors[text] for text in payload["input"]]})
+
+    server = serve(*[reply] * bound)
+    transport, _ = _transport(server, max_parallel_requests=bound)
     client = LlmClient(transport.config, transport)
-    names = iter("xy")  # each reply answers texts not embedded before
     with pytest.raises(TransportError, match=message):
-        for vectors in replies:
-            client.embed([next(names) for _ in vectors])
-    assert len(server.requests) == len(replies)
+        client.embed([*vectors])
+    assert sorted(_payload(request)["input"] for request in server.requests) == (
+        [[*vectors]] if bound == 1 else [["x"], ["y"]]
+    )
 
 
 @pytest.mark.parametrize(
